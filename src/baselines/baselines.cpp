@@ -89,9 +89,10 @@ BaselineResult oblivious_cc_list(const Graph& g, int p, ListingOutput& out) {
     const Graph local_graph = Graph::from_edges(
         to_node(to_global.size()), std::move(local));
     std::vector<NodeId> global(static_cast<std::size_t>(p));
-    for (const auto& c : list_k_cliques(local_graph, p)) {
-      for (std::size_t x = 0; x < c.size(); ++x) {
-        global[x] = to_global[static_cast<std::size_t>(c[x])];
+    const std::vector<NodeId> flat = list_k_cliques_flat(local_graph, p);
+    for (std::size_t at = 0; at < flat.size(); at += global.size()) {
+      for (std::size_t x = 0; x < global.size(); ++x) {
+        global[x] = to_global[static_cast<std::size_t>(flat[at + x])];
       }
       out.report(i, global);
     }

@@ -867,19 +867,11 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
     in_cluster_enumerate(plans[item.cluster], item.rep_begin, item.rep_end,
                          sink);
   };
-  if (inline_tail || tail_shards <= 1) {
-    if (inline_tail) {
-      // Already enumerated cluster-by-cluster above; just record the trace.
-      trace.tail_shard_work.assign(1, est_total);
-    } else {
-      // Sequential fast path: report straight into the global collector, no
-      // buffer merge.
-      trace.tail_shard_work.assign(1, est_total);
-      for (const TailItem& item : items) enumerate_item(item, *ctx.out);
-    }
-    // Sequential paths record the per-item metrics directly; values match
-    // the sharded path's merged cells exactly (histogram folds are
-    // commutative integer adds).
+  if (inline_tail) {
+    // Already enumerated cluster-by-cluster above; just record the trace
+    // and the per-item metrics (the same integer adds the shard cells
+    // fold below, so the values match the sharded path exactly).
+    trace.tail_shard_work.assign(1, est_total);
     if (telemetry != nullptr) {
       MetricsRegistry& metrics = telemetry->metrics();
       for (const std::uint64_t w : item_weight) {
@@ -888,29 +880,25 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
       }
     }
   } else {
-    trace.tail_shard_work.assign(static_cast<std::size_t>(tail_shards), 0);
+    // One sink per shard; a single shard reports straight into the global
+    // collector, with no buffer to merge.
+    const auto sinks = static_cast<std::size_t>(std::max(1, tail_shards));
+    trace.tail_shard_work.assign(sinks, 0);
     std::vector<ListingOutput> shard_out;
-    shard_out.reserve(static_cast<std::size_t>(tail_shards));
-    const double dup_hint = ctx.out->duplication_factor();
-    for (int s = 0; s < tail_shards; ++s) {
-      shard_out.emplace_back(n);
-      // Shard buffers start cold; seed their reserve discount with the
-      // duplication factor the global collector has already observed.
-      shard_out.back().set_duplication_hint(dup_hint);
-    }
+    if (sinks > 1) shard_out.assign(sinks, ListingOutput(n));
+    const auto sink = [&](int shard) -> ListingOutput& {
+      return sinks > 1 ? shard_out[static_cast<std::size_t>(shard)] : *ctx.out;
+    };
     // Per-shard metric cells: shard bodies write only their own cell; the
     // calling thread folds them back in shard order right after the
     // listing-output merge (the parallel_for_shards merge contract).
     std::vector<MetricsRegistry::ShardCell> tail_cells;
-    if (telemetry != nullptr) {
-      tail_cells.resize(static_cast<std::size_t>(tail_shards));
-    }
+    if (telemetry != nullptr) tail_cells.resize(sinks);
     parallel_for_weighted_shards(
         item_weight,
         [&](int shard, std::int64_t lo, std::int64_t hi) {
           for (std::int64_t i = lo; i < hi; ++i) {
-            enumerate_item(items[static_cast<std::size_t>(i)],
-                           shard_out[static_cast<std::size_t>(shard)]);
+            enumerate_item(items[static_cast<std::size_t>(i)], sink(shard));
             trace.tail_shard_work[static_cast<std::size_t>(shard)] +=
                 item_weight[static_cast<std::size_t>(i)];
             if (telemetry != nullptr) {
@@ -922,9 +910,7 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
           }
         },
         kTailEnumGrainWeight);
-    for (int s = 0; s < tail_shards; ++s) {
-      ctx.out->merge_from(shard_out[static_cast<std::size_t>(s)]);
-    }
+    for (const ListingOutput& shard : shard_out) ctx.out->merge_from(shard);
     if (telemetry != nullptr) telemetry->metrics().merge_cells(tail_cells);
   }
   end_step(enumerate_span);
@@ -1026,14 +1012,6 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
     // DCL_THREADS), so it deliberately stays OUT of the metrics — the run
     // report must be bit-identical at any thread count.
     metrics.gauge_max("arb.max_learned_edges", trace.max_learned_edges);
-    // CliqueSet load/displacement after this iteration's inserts: the
-    // robin-hood table's fill and worst probe distance, straight from the
-    // global collector.
-    metrics.gauge_set("cliqueset.size",
-                      static_cast<std::int64_t>(ctx.out->cliques().size()));
-    metrics.gauge_max(
-        "cliqueset.max_displacement",
-        static_cast<std::int64_t>(ctx.out->cliques().max_displacement()));
   }
   return trace;
 }

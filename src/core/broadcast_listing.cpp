@@ -70,8 +70,10 @@ BroadcastListingStats broadcast_listing(const BroadcastListingArgs& args,
   }
   const Graph current_graph =
       Graph::from_edges(base.node_count(), std::move(edges));
-  const auto cliques = list_k_cliques(current_graph, args.p);
-  for (const auto& clique : cliques) {
+  const std::vector<NodeId> flat = list_k_cliques_flat(current_graph, args.p);
+  const auto width = static_cast<std::size_t>(args.p);
+  for (std::size_t at = 0; at < flat.size(); at += width) {
+    const std::span<const NodeId> clique(flat.data() + at, width);
     if (args.require_edge != nullptr) {
       bool ok = false;
       for (std::size_t x = 0; x < clique.size() && !ok; ++x) {
@@ -84,8 +86,7 @@ BroadcastListingStats broadcast_listing(const BroadcastListingArgs& args,
       }
       if (!ok) continue;
     }
-    const NodeId reporter = *std::min_element(clique.begin(), clique.end());
-    out.report(reporter, clique);
+    out.report(clique.front(), clique);  // sorted: the minimum-id member
     ++stats.cliques_reported;
   }
   return stats;

@@ -11,8 +11,9 @@ DetectionResult detect_kp(const Graph& g, const KpConfig& cfg) {
   result.rounds = run.total_rounds();
   result.found = out.unique_count() > 0;
   if (result.found) {
-    result.witness = out.cliques().to_vector().front();
-    std::sort(result.witness.begin(), result.witness.end());
+    // The first clique of the sorted run: O(1), and independent of the
+    // order the reports arrived in.
+    result.witness = out.cliques().front();
   }
   return result;
 }

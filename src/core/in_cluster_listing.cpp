@@ -352,22 +352,21 @@ std::uint64_t in_cluster_enumerate(const InClusterPlan& plan,
     const Graph local =
         Graph::from_sorted_edges(plan.compact_n, std::move(edges));
     edges = {};  // moved-from; reset for the next representative
-    const auto cliques = list_k_cliques(local, p);
-    // Reserve hint: the dedup table absorbs this enumeration without a
-    // growth rehash (duplication-discounted inside reserve_additional).
-    out.reserve_additional(cliques.size());
-    for (const auto& c : cliques) {
+    const std::vector<NodeId> flat = list_k_cliques_flat(local, p);
+    const auto width = static_cast<std::size_t>(p);
+    for (std::size_t at = 0; at < flat.size(); at += width) {
+      const NodeId* c = flat.data() + at;
       // Report only cliques containing at least one goal edge of C — the
       // task assigned to this cluster (others are other iterations' work).
       bool has_goal = all_goal;
-      for (std::size_t x = 0; x < c.size() && !has_goal; ++x) {
-        for (std::size_t y = x + 1; y < c.size() && !has_goal; ++y) {
+      for (std::size_t x = 0; x < width && !has_goal; ++x) {
+        for (std::size_t y = x + 1; y < width && !has_goal; ++y) {
           const auto leid = local.edge_id(c[x], c[y]);
           has_goal = local_goal[*leid];
         }
       }
       if (!has_goal) continue;
-      for (std::size_t i = 0; i < c.size(); ++i) {
+      for (std::size_t i = 0; i < width; ++i) {
         global[i] = plan.compact_to_global[static_cast<std::size_t>(c[i])];
       }
       out.report(plan.cluster->nodes[static_cast<std::size_t>(rep.node)],

@@ -9,7 +9,7 @@
 
 #include "congest/fault_plan.h"
 #include "congest/round_ledger.h"
-#include "enumeration/clique_enumeration.h"
+#include "enumeration/clique_log.h"
 #include "expander/decomposition.h"
 #include "graph/graph.h"
 
@@ -18,68 +18,31 @@ namespace dcl {
 /// Collects the listing output of every node. The distributed guarantee
 /// (Section 1) is that the *union* of all node outputs equals the set of Kp
 /// instances; several nodes may legitimately report the same clique, so the
-/// collector deduplicates and tracks the duplication factor.
+/// collector deduplicates and tracks the duplication factor. Reports are
+/// appended to a CliqueLog and deduplicated once, at the first read of the
+/// cliques (enumeration/clique_log.h).
 class ListingOutput {
  public:
-  explicit ListingOutput(NodeId n) : per_node_reports_(static_cast<std::size_t>(n), 0) {}
+  explicit ListingOutput(NodeId n)
+      : log_(n), per_node_reports_(static_cast<std::size_t>(n), 0) {}
 
   /// Records that `reporter` output `clique` (any vertex order). For p ≤ 8
-  /// this is allocation-free: the clique is packed straight into the flat
-  /// dedup table.
+  /// this is a sort, a pack and an append to the log.
   void report(NodeId reporter, std::span<const NodeId> clique) {
     const std::uint64_t reports =
         ++per_node_reports_[static_cast<std::size_t>(reporter)];
     max_reports_ = std::max(max_reports_, reports);
     ++total_reports_;
-    unique_.insert(clique);
-  }
-
-  /// Assumed duplication factor on cold start: with zero observations the
-  /// heavy phases still duplicate heavily (PR 4 measured the cache loss of
-  /// sizing the first enumeration for raw reports), so an undiscounted
-  /// cold reserve is the known-bad case. Two is deliberately conservative:
-  /// it halves the cold overshoot without risking an undersized table on
-  /// genuinely duplication-free workloads.
-  static constexpr double kColdStartDuplication = 2.0;
-
-  /// Adopts a duplication factor observed elsewhere (the global collector)
-  /// as a floor for this buffer's reserve discount. Per-shard scratch
-  /// buffers start empty, so their *local* factor lags reality by a whole
-  /// enumeration; seeding them with the global factor makes their reserve
-  /// hints as informed as the sequential execution's.
-  void set_duplication_hint(double factor) {
-    duplication_hint_ = std::max(0.0, factor);
-  }
-
-  /// Reserve hint: the caller is about to report up to `upcoming` cliques
-  /// (e.g. a local enumeration whose size is known before the report
-  /// loop). Pre-sizes the dedup table so those reports trigger no growth
-  /// rehash. The raw count is discounted by the duplication factor
-  /// observed so far: reports far exceed uniques in the heavy phases, and
-  /// a table sized for reports (instead of uniques) costs cache on every
-  /// subsequent probe. Cold start (no observations yet, the first heavy
-  /// enumeration) is clamped to `kColdStartDuplication` instead of the
-  /// undiscounted raw count; an externally supplied hint
-  /// (`set_duplication_hint`) floors the discount either way.
-  void reserve_additional(std::size_t upcoming) {
-    double dup = std::max(duplication_factor(), duplication_hint_);
-    if (dup <= 1.0) {
-      dup = unique_.empty() ? kColdStartDuplication : 1.0;
-    }
-    if (dup > 1.0) {
-      upcoming = static_cast<std::size_t>(static_cast<double>(upcoming) / dup);
-    }
-    unique_.reserve(unique_.size() + upcoming);
+    log_.append(clique);
   }
 
   /// Folds a per-shard buffer into this collector: traffic statistics add,
   /// per-node totals add (the running maximum is recomputed from the
   /// merged totals, which is exactly where the sequential running max
-  /// lands), and the clique sets union. Merging shard buffers in shard
-  /// order therefore reproduces the sequential execution's counters and
-  /// clique set bit-identically — the contract the cluster-parallel
-  /// ARB-LIST tail relies on. `shard` must have been constructed for the
-  /// same node count.
+  /// lands), and the shard's log is appended to this one. Deduplication
+  /// happens at the first read, so the result is the same in any merge
+  /// order — the contract the cluster-parallel ARB-LIST tail relies on.
+  /// `shard` must have been constructed for the same node count.
   void merge_from(const ListingOutput& shard) {
     total_reports_ += shard.total_reports_;
     for (std::size_t v = 0; v < per_node_reports_.size(); ++v) {
@@ -87,29 +50,19 @@ class ListingOutput {
       per_node_reports_[v] += shard.per_node_reports_[v];
       max_reports_ = std::max(max_reports_, per_node_reports_[v]);
     }
-    // Reserve the union upper bound BEFORE inserting: for_each_span hands
-    // keys over in slot (≈ hash) order, and hash-ordered inserts into a
-    // table that is still growing degenerate into long probe clusters —
-    // measured 60x slower than the same inserts into a pre-sized table.
-    // The overshoot is at most 2x of the final union (not the 10x+ of
-    // report-count reserves), so the PR 4 cache trap does not apply.
-    unique_.reserve(unique_.size() + shard.unique_.size());
-    shard.unique_.for_each_span(
-        [&](std::span<const NodeId> clique) { unique_.insert(clique); });
+    log_.append(shard.log_);
   }
 
-  /// Retracts a previously reported clique (delta support for dynamic
-  /// maintenance); returns true if it was present. Per-node report totals
-  /// are cumulative traffic statistics and are deliberately not unwound.
-  bool retract(std::span<const NodeId> clique) { return unique_.erase(clique); }
-
-  const CliqueSet& cliques() const { return unique_; }
+  /// The deduplicated cliques as a sorted run; the first read after a
+  /// report sorts the log (CliqueLog::run). Valid until the next report.
+  CliqueRun cliques() const { return log_.run(); }
   std::uint64_t total_reports() const { return total_reports_; }
-  std::uint64_t unique_count() const { return unique_.size(); }
+  std::uint64_t unique_count() const { return cliques().size(); }
   double duplication_factor() const {
-    return unique_.empty() ? 0.0
-                           : static_cast<double>(total_reports_) /
-                                 static_cast<double>(unique_.size());
+    const std::uint64_t unique = unique_count();
+    return unique == 0 ? 0.0
+                       : static_cast<double>(total_reports_) /
+                             static_cast<double>(unique);
   }
   std::uint64_t reports_of(NodeId v) const {
     return per_node_reports_[static_cast<std::size_t>(v)];
@@ -118,10 +71,9 @@ class ListingOutput {
   std::uint64_t max_reports_per_node() const { return max_reports_; }
 
  private:
-  CliqueSet unique_;
+  CliqueLog log_;
   std::uint64_t total_reports_ = 0;
   std::uint64_t max_reports_ = 0;
-  double duplication_hint_ = 0.0;
   std::vector<std::uint64_t> per_node_reports_;
 };
 

@@ -262,11 +262,11 @@ SparseCcResult sparse_cc_list(const Graph& g, const SparseCcConfig& cfg,
     const Graph local_graph =
         Graph::from_edges(to_node(to_global.size()),
                           std::move(local));
-    const auto cliques = list_k_cliques(local_graph, p);
+    const std::vector<NodeId> flat = list_k_cliques_flat(local_graph, p);
     std::vector<NodeId> global(static_cast<std::size_t>(p));
-    for (const auto& c : cliques) {
-      for (std::size_t x = 0; x < c.size(); ++x) {
-        global[x] = to_global[static_cast<std::size_t>(c[x])];
+    for (std::size_t at = 0; at < flat.size(); at += global.size()) {
+      for (std::size_t x = 0; x < global.size(); ++x) {
+        global[x] = to_global[static_cast<std::size_t>(flat[at + x])];
       }
       out.report(i, global);
     }

@@ -28,9 +28,12 @@ DynamicLister::DynamicLister(const Graph& seed, int p)
       graph_(DynamicGraph::from_graph(seed)),
       orientation_(graph_),
       scratch_(make_delta_scratch(p)) {
-  const auto all = list_k_cliques(seed, p);
-  cliques_.reserve(all.size());
-  for (const auto& c : all) cliques_.insert(c);
+  const std::vector<NodeId> flat = list_k_cliques_flat(seed, p);
+  const auto width = static_cast<std::size_t>(p);
+  cliques_.reserve(flat.size() / width);
+  for (std::size_t at = 0; at < flat.size(); at += width) {
+    cliques_.insert(std::span<const NodeId>(flat.data() + at, width));
+  }
   stats_.clique_count = cliques_.size();
   stats_.fingerprint = cliques_.fingerprint();
   stats_.arboricity_witness = orientation_.max_out_degree();

@@ -190,6 +190,16 @@ void CliqueSet::reserve(std::size_t expected) {
   if (target > slots_.size()) rehash(target);
 }
 
+std::uint64_t CliqueSet::member_hash(std::span<const NodeId> sorted) {
+  if (sorted.empty() || sorted.size() > kPackedMax) {
+    return overflow_hash(Clique(sorted.begin(), sorted.end()));
+  }
+  PackedKey key;
+  key.fill(kUnused);
+  std::copy(sorted.begin(), sorted.end(), key.begin());
+  return hash_key(key);
+}
+
 std::uint64_t CliqueSet::overflow_hash(const Clique& sorted) {
   std::uint64_t h = 0x2545f4914f6cdd1dULL;
   for (const NodeId v : sorted) {
@@ -625,55 +635,28 @@ void for_each_k_clique(const Graph& g, int p, Emit&& emit) {
 
 }  // namespace
 
-std::vector<Clique> list_k_cliques(const Graph& g, int p) {
-  // Two-stage emit: the kernel appends p ids per clique to one flat buffer
-  // (amortized-free), and the per-clique vectors are materialized once the
-  // total is known — exact outer reserve, no vector-of-vectors growth
-  // relocations on the hot path.
+std::vector<NodeId> list_k_cliques_flat(const Graph& g, int p) {
+  // The kernel appends p ids per clique to one flat buffer (amortized-
+  // free), canonicalized in place afterwards.
   std::vector<NodeId> flat;
   for_each_k_clique(g, p, [&](const std::vector<NodeId>& clique) {
     flat.insert(flat.end(), clique.begin(), clique.end());
   });
   const auto width = static_cast<std::size_t>(p);
-  const auto cas = [](NodeId& a, NodeId& b) {  // branchless compare-swap
-    const NodeId lo = std::min(a, b);
-    b = std::max(a, b);
-    a = lo;
-  };
+  for (std::size_t at = 0; at < flat.size(); at += width) {
+    sort_clique_ids(flat.data() + at, width);
+  }
+  return flat;
+}
+
+std::vector<Clique> list_k_cliques(const Graph& g, int p) {
+  const std::vector<NodeId> flat = list_k_cliques_flat(g, p);
+  const auto width = static_cast<std::size_t>(p);
   std::vector<Clique> result;
   result.reserve(flat.size() / width);
-  for (std::size_t at = 0; at < flat.size(); at += width) {
-    // Canonicalize in the flat buffer. Sorting networks for the common
-    // widths (optimal compare-swap counts, no data-dependent branches);
-    // insertion sort above that.
-    NodeId* c = flat.data() + at;
-    switch (width) {
-      case 2:
-        cas(c[0], c[1]);
-        break;
-      case 3:
-        cas(c[0], c[2]); cas(c[0], c[1]); cas(c[1], c[2]);
-        break;
-      case 4:
-        cas(c[0], c[2]); cas(c[1], c[3]); cas(c[0], c[1]); cas(c[2], c[3]);
-        cas(c[1], c[2]);
-        break;
-      case 5:
-        cas(c[0], c[3]); cas(c[1], c[4]); cas(c[0], c[2]); cas(c[1], c[3]);
-        cas(c[0], c[1]); cas(c[2], c[4]); cas(c[1], c[2]); cas(c[3], c[4]);
-        cas(c[2], c[3]);
-        break;
-      default:
-        for (std::size_t i = 1; i < width; ++i) {
-          const NodeId x = c[i];
-          std::size_t j = i;
-          for (; j > 0 && c[j - 1] > x; --j) c[j] = c[j - 1];
-          c[j] = x;
-        }
-        break;
-    }
-    result.emplace_back(flat.begin() + static_cast<std::ptrdiff_t>(at),
-                        flat.begin() + static_cast<std::ptrdiff_t>(at + width));
+  for (auto it = flat.begin(); it != flat.end();
+       it += static_cast<std::ptrdiff_t>(width)) {
+    result.emplace_back(it, it + static_cast<std::ptrdiff_t>(width));
   }
   return result;
 }

@@ -15,6 +15,7 @@
 // allocates nothing (see docs/PERFORMANCE.md).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <set>
@@ -29,14 +30,51 @@ namespace dcl {
 /// canonical form used for deduplication and set comparison.
 using Clique = std::vector<NodeId>;
 
-/// Canonical set of cliques with value semantics; the comparison target for
-/// listing validation.
+/// Sorts the `width` ids of one clique in place — the canonical form.
+/// Sorting networks for the common widths (optimal compare-swap counts, no
+/// data-dependent branches); insertion sort above that.
+inline void sort_clique_ids(NodeId* c, std::size_t width) {
+  const auto cas = [](NodeId& a, NodeId& b) {  // branchless compare-swap
+    const NodeId lo = std::min(a, b);
+    b = std::max(a, b);
+    a = lo;
+  };
+  switch (width) {
+    case 2:
+      cas(c[0], c[1]);
+      break;
+    case 3:
+      cas(c[0], c[2]); cas(c[0], c[1]); cas(c[1], c[2]);
+      break;
+    case 4:
+      cas(c[0], c[2]); cas(c[1], c[3]); cas(c[0], c[1]); cas(c[2], c[3]);
+      cas(c[1], c[2]);
+      break;
+    case 5:
+      cas(c[0], c[3]); cas(c[1], c[4]); cas(c[0], c[2]); cas(c[1], c[3]);
+      cas(c[0], c[1]); cas(c[2], c[4]); cas(c[1], c[2]); cas(c[3], c[4]);
+      cas(c[2], c[3]);
+      break;
+    default:
+      for (std::size_t i = 1; i < width; ++i) {
+        const NodeId x = c[i];
+        std::size_t j = i;
+        for (; j > 0 && c[j - 1] > x; --j) c[j] = c[j - 1];
+        c[j] = x;
+      }
+      break;
+  }
+}
+
+/// Canonical set of cliques with value semantics and erase: the clique set
+/// `DynamicLister` maintains under churn, and the oracle's comparison
+/// target for listing validation.
 ///
 /// Cliques of up to `kPackedMax` vertices — every Kp the paper's algorithms
-/// list (p ≤ 8) — are deduplicated in an open-addressing flat table over
-/// fixed-width packed keys (sorted ids, -1-padded, splitmix-mixed), so the
-/// simulators' per-report hot path does no heap allocation. Larger cliques
-/// (e.g. maximal cliques of dense graphs) spill to a node-based set.
+/// list (p ≤ 8) — live in an open-addressing flat table over fixed-width
+/// packed keys (sorted ids, -1-padded, splitmix-mixed), so insert and erase
+/// do no heap allocation. Larger cliques (e.g. maximal cliques of dense
+/// graphs) spill to a node-based set.
 class CliqueSet {
  public:
   /// Widest clique stored inline; chosen for the paper's p ≤ 8 regime
@@ -66,8 +104,7 @@ class CliqueSet {
 
   /// Pre-sizes the packed table for `expected` cliques so the insert path
   /// performs no growth rehashes up to that size. Callers with a clique
-  /// estimate (local enumerations report their count before the report
-  /// loop) use this to kill the grow() churn on the hot path.
+  /// count (a seed enumeration) use this to kill the grow() churn.
   void reserve(std::size_t expected);
 
   /// Longest probe distance of any packed key from its ideal slot — the
@@ -75,10 +112,10 @@ class CliqueSet {
   /// bounded (robin hood: a probing key steals the slot of any resident
   /// closer to its own ideal), so this stays O(log n)-ish at the 0.7 load
   /// ceiling no matter the insert order; in particular hash-ordered bulk
-  /// inserts (shard-buffer merges walk tables in slot order) can no longer
-  /// degenerate into the long probe chains plain linear probing builds
-  /// (measured 60x on a growing table). O(slots) scan; tests assert the
-  /// bound after adversarial insert orders.
+  /// inserts (copying one set into another walks it in slot order) can no
+  /// longer degenerate into the long probe chains plain linear probing
+  /// builds (measured 60x on a growing table). O(slots) scan; tests assert
+  /// the bound after adversarial insert orders.
   std::size_t max_displacement() const;
 
   /// Order-independent content hash: the wrapping sum of one mixed hash
@@ -88,14 +125,19 @@ class CliqueSet {
   /// for the dynamic engine's benches and tests.
   std::uint64_t fingerprint() const { return fingerprint_; }
 
+  /// One member's contribution to `fingerprint()`: the hash of the sorted
+  /// clique `sorted`. Lets another container of cliques (the listing
+  /// output's sorted run) report a fingerprint bit-identical to a
+  /// CliqueSet holding the same cliques.
+  static std::uint64_t member_hash(std::span<const NodeId> sorted);
+
   /// Visits every member clique as a sorted `std::span<const NodeId>`
-  /// without materializing vectors — the allocation-free bulk-merge path
-  /// (`ListingOutput::merge_from` folds per-shard sets with it). Packed
-  /// cliques are visited in slot order, overflow cliques after in
-  /// lexicographic order (the spill set is ordered precisely so this
-  /// visitation order is deterministic — dcl_lint's unordered-iteration
-  /// rule bans hash-order walks on any path that can reach fingerprints);
-  /// the span is valid only for the duration of the call.
+  /// without materializing vectors. Packed cliques are visited in slot
+  /// order, overflow cliques after in lexicographic order (the spill set
+  /// is ordered precisely so this visitation order is deterministic —
+  /// dcl_lint's unordered-iteration rule bans hash-order walks on any path
+  /// that can reach fingerprints); the span is valid only for the duration
+  /// of the call.
   template <typename F>
   void for_each_span(F&& fn) const {
     for (const PackedKey& key : slots_) {
@@ -150,8 +192,12 @@ class CliqueSet {
   std::set<Clique> overflow_;
 };
 
-/// All Kp instances of g, each as a sorted vertex vector. p >= 1.
-/// p = 1 lists vertices, p = 2 lists edges.
+/// All Kp instances of g as one flat buffer: clique i is the sorted ids
+/// [i·p, (i+1)·p). p >= 1; p = 1 lists vertices, p = 2 lists edges. The
+/// allocation-free form every lister reports from.
+std::vector<NodeId> list_k_cliques_flat(const Graph& g, int p);
+
+/// `list_k_cliques_flat` split into one sorted vertex vector per clique.
 std::vector<Clique> list_k_cliques(const Graph& g, int p);
 
 /// Number of Kp instances (no materialization).

@@ -23,8 +23,9 @@ void expect_exact_listing(const Graph& g, const KpConfig& cfg) {
   ListingOutput out(g.node_count());
   const auto result = list_kp_collect(g, cfg, out);
   expect_result_valid(result);
-  const auto missing = truth.difference(out.cliques());
-  const auto extra = out.cliques().difference(truth);
+  const CliqueSet listed(out.cliques().to_vector());
+  const auto missing = truth.difference(listed);
+  const auto extra = listed.difference(truth);
   EXPECT_TRUE(missing.empty()) << missing.size() << " missed of "
                                << truth.size();
   EXPECT_TRUE(extra.empty()) << extra.size() << " false positives";

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "graph/generators.h"
+
 namespace dcl {
 namespace {
 
@@ -72,137 +79,219 @@ TEST(ListingOutput, MaxReportsTracksRunningMaximum) {
   EXPECT_EQ(out.total_reports(), 6u);
 }
 
-TEST(ListingOutput, RetractRemovesFromUniqueButKeepsTrafficTotals) {
-  // Delta support for dynamic consumers: retract() unwinds membership
-  // (any vertex order) but deliberately NOT the per-node report totals —
-  // those are cumulative traffic statistics.
-  ListingOutput out(4);
-  const NodeId a[] = {0, 1, 2};
-  const NodeId b[] = {1, 2, 3};
-  out.report(0, a);
-  out.report(3, b);
-  EXPECT_EQ(out.unique_count(), 2u);
-  const NodeId a_permuted[] = {2, 0, 1};
-  EXPECT_TRUE(out.retract(a_permuted));
-  EXPECT_FALSE(out.retract(a_permuted));  // already gone
-  EXPECT_EQ(out.unique_count(), 1u);
-  EXPECT_FALSE(out.cliques().contains(Clique{0, 1, 2}));
-  EXPECT_TRUE(out.cliques().contains(Clique{1, 2, 3}));
-  EXPECT_EQ(out.total_reports(), 2u);
-  EXPECT_EQ(out.reports_of(0), 1u);
-  // A retracted clique can be re-reported and counts as new traffic.
-  out.report(1, a);
-  EXPECT_EQ(out.unique_count(), 2u);
-  EXPECT_EQ(out.total_reports(), 3u);
-}
-
-TEST(ListingOutput, ReserveAdditionalPreservesState) {
-  ListingOutput out(2);
-  const NodeId a[] = {0, 1, 2};
-  out.report(0, a);
-  out.report(1, a);  // duplicate: duplication factor 2
-  out.reserve_additional(10000);
-  EXPECT_EQ(out.unique_count(), 1u);
-  EXPECT_EQ(out.total_reports(), 2u);
-  EXPECT_TRUE(out.cliques().contains(Clique{0, 1, 2}));
-}
-
-TEST(ListingOutput, ReserveAdditionalClampsTheColdStart) {
-  // Regression for the cold-start reserve trap: with no observations the
-  // duplication factor reads 0.0, which used to mean NO discount — the
-  // first heavy enumeration reserved for raw reports, the exact cache-loss
-  // case the PR 4 A/B measured. The cold hint must now be discounted by
-  // kColdStartDuplication. Observable contract (the table is private):
-  // a cold reserve of N must behave identically to a cold reserve of
-  // N / kColdStartDuplication — and state must be preserved either way.
-  ListingOutput cold(4);
-  cold.reserve_additional(1u << 20);
-  EXPECT_EQ(cold.unique_count(), 0u);
-  EXPECT_EQ(cold.total_reports(), 0u);
-  EXPECT_DOUBLE_EQ(cold.duplication_factor(), 0.0);
-  const NodeId c[] = {0, 1, 2};
-  cold.report(0, c);
-  EXPECT_EQ(cold.unique_count(), 1u);
-  EXPECT_TRUE(cold.cliques().contains(Clique{0, 1, 2}));
-}
-
-TEST(ListingOutput, ReserveDiscountUsesObservedFactorWhenWarm) {
-  // Once reports exist, the observed duplication factor drives the
-  // discount (kColdStartDuplication must NOT override real observations
-  // of no duplication: a warm duplication-free collector reserves the
-  // full hint and absorbs that many inserts without losing state).
-  ListingOutput warm(4);
-  const NodeId a[] = {0, 1, 2};
-  warm.report(0, a);
-  EXPECT_DOUBLE_EQ(warm.duplication_factor(), 1.0);
-  warm.reserve_additional(5000);
-  for (NodeId i = 0; i < 5000; ++i) {
-    const NodeId c[] = {i, i + 10000, i + 20000};
-    warm.report(1, c);
+/// Per-node totals, total reports and max, and the clique set of `a` and
+/// `b` agree exactly.
+void expect_same_output(const ListingOutput& a, const ListingOutput& b,
+                        NodeId n) {
+  EXPECT_EQ(a.unique_count(), b.unique_count());
+  EXPECT_EQ(a.total_reports(), b.total_reports());
+  EXPECT_EQ(a.max_reports_per_node(), b.max_reports_per_node());
+  EXPECT_DOUBLE_EQ(a.duplication_factor(), b.duplication_factor());
+  for (NodeId v = 0; v < n; ++v) {
+    EXPECT_EQ(a.reports_of(v), b.reports_of(v)) << "v " << v;
   }
-  EXPECT_EQ(warm.unique_count(), 5001u);
-}
-
-TEST(ListingOutput, DuplicationHintFloorsTheDiscount) {
-  // Per-shard buffers adopt the global collector's duplication factor:
-  // a hinted cold buffer must keep working exactly like an unhinted one
-  // from the caller's point of view (the hint only changes table sizing).
-  ListingOutput shard(4);
-  shard.set_duplication_hint(8.0);
-  shard.reserve_additional(100000);
-  const NodeId a[] = {0, 1, 2};
-  const NodeId b[] = {1, 2, 3};
-  shard.report(0, a);
-  shard.report(1, a);
-  shard.report(2, b);
-  EXPECT_EQ(shard.unique_count(), 2u);
-  EXPECT_EQ(shard.total_reports(), 3u);
-  EXPECT_TRUE(shard.cliques().contains(Clique{0, 1, 2}));
-  EXPECT_TRUE(shard.cliques().contains(Clique{1, 2, 3}));
+  EXPECT_EQ(a.cliques().fingerprint(), b.cliques().fingerprint());
+  EXPECT_TRUE(a.cliques() == b.cliques());
 }
 
 TEST(ListingOutput, MergeFromReproducesSequentialCounters) {
   // The cluster-parallel ARB-LIST contract: splitting a report stream
-  // across shard buffers and merging them in shard order must land on the
-  // exact counters and clique set of the sequential execution — including
-  // cross-shard duplicates and the running per-node maximum.
+  // across shard buffers and merging them must land on the exact counters
+  // and clique set of the sequential execution — including cross-shard
+  // duplicates, the running per-node maximum, and mixed clique widths —
+  // in shard order, reversed, or shuffled.
   const NodeId n = 6;
-  const NodeId cliques[][3] = {{0, 1, 2}, {1, 2, 3}, {2, 3, 4},
-                               {0, 1, 2}, {3, 4, 5}, {1, 2, 3}};
-  const NodeId reporters[] = {0, 1, 1, 2, 5, 5};
+  const std::vector<Clique> cliques = {
+      {0, 1, 2}, {1, 2, 3}, {2, 3, 4}, {0, 1, 2},    {3, 4, 5},
+      {1, 2, 3}, {5, 3, 4}, {0, 1, 2, 3}, {2, 1, 0}, {0, 1, 2, 3, 4, 5}};
+  const NodeId reporters[] = {0, 1, 1, 2, 5, 5, 4, 0, 3, 1};
+  const std::size_t shard_of[] = {0, 0, 0, 1, 1, 1, 2, 2, 3, 3};
+  constexpr std::size_t kShards = 4;
 
   ListingOutput sequential(n);
-  for (std::size_t i = 0; i < 6; ++i) {
+  std::vector<ListingOutput> shards(kShards, ListingOutput(n));
+  for (std::size_t i = 0; i < cliques.size(); ++i) {
     sequential.report(reporters[i], cliques[i]);
+    shards[shard_of[i]].report(reporters[i], cliques[i]);
   }
+  EXPECT_EQ(sequential.unique_count(), 6u);
 
-  ListingOutput merged(n);
-  ListingOutput shard_a(n), shard_b(n);
-  for (std::size_t i = 0; i < 3; ++i) shard_a.report(reporters[i], cliques[i]);
-  for (std::size_t i = 3; i < 6; ++i) shard_b.report(reporters[i], cliques[i]);
-  merged.merge_from(shard_a);
-  merged.merge_from(shard_b);
-
-  EXPECT_EQ(merged.unique_count(), sequential.unique_count());
-  EXPECT_EQ(merged.total_reports(), sequential.total_reports());
-  EXPECT_EQ(merged.max_reports_per_node(), sequential.max_reports_per_node());
-  EXPECT_DOUBLE_EQ(merged.duplication_factor(),
-                   sequential.duplication_factor());
-  for (NodeId v = 0; v < n; ++v) {
-    EXPECT_EQ(merged.reports_of(v), sequential.reports_of(v)) << "v " << v;
+  std::vector<std::size_t> order = {0, 1, 2, 3};
+  const std::vector<std::vector<std::size_t>> orders = {
+      order, {3, 2, 1, 0}, {2, 0, 3, 1}};
+  for (const auto& o : orders) {
+    ListingOutput merged(n);
+    for (const std::size_t s : o) merged.merge_from(shards[s]);
+    expect_same_output(merged, sequential, n);
   }
-  EXPECT_TRUE(merged.cliques() == sequential.cliques());
 
   // Merging into a collector that already holds reports (the global out
-  // between ARB-LIST iterations) accumulates rather than replaces.
+  // between ARB-LIST iterations) accumulates rather than replaces, also
+  // after the collector's log has been read and sorted.
   ListingOutput global(n);
   const NodeId pre[] = {0, 4, 5};
   global.report(3, pre);
-  global.merge_from(shard_a);
+  EXPECT_EQ(global.unique_count(), 1u);
+  global.merge_from(shards[0]);
   EXPECT_EQ(global.total_reports(), 4u);
   EXPECT_EQ(global.unique_count(), 4u);
   EXPECT_EQ(global.reports_of(3), 1u);
   EXPECT_EQ(global.reports_of(1), 2u);
+}
+
+TEST(ListingOutput, PrefixSharingCliquesOfDifferentWidthStayDistinct) {
+  // Fields store id+1, so 0 marks padding: a K3 never packs to the same
+  // key as a K4 that extends it, whatever the ids.
+  ListingOutput out(8);
+  const NodeId k3[] = {0, 1, 2};
+  const NodeId k4[] = {2, 1, 0, 3};
+  const NodeId k4_shifted[] = {0, 1, 2, 7};
+  const NodeId k3_tail[] = {1, 2, 3};
+  for (int rep = 0; rep < 2; ++rep) {
+    out.report(0, k3);
+    out.report(1, k4);
+    out.report(2, k4_shifted);
+    out.report(3, k3_tail);
+  }
+  const CliqueSet expected(std::vector<Clique>{
+      {0, 1, 2}, {0, 1, 2, 3}, {0, 1, 2, 7}, {1, 2, 3}});
+  EXPECT_EQ(out.unique_count(), 4u);
+  EXPECT_EQ(out.total_reports(), 8u);
+  EXPECT_EQ(out.cliques().fingerprint(), expected.fingerprint());
+  EXPECT_TRUE(out.cliques() == expected);
+  EXPECT_FALSE(out.cliques().contains({0, 1}));
+  EXPECT_FALSE(out.cliques().contains({0, 1, 2, 3, 7}));
+  // Run order: narrower cliques first, then lexicographic.
+  EXPECT_EQ(out.cliques().front(), (Clique{0, 1, 2}));
+  const auto listed = out.cliques().to_vector();
+  ASSERT_EQ(listed.size(), 4u);
+  EXPECT_EQ(listed[1], (Clique{1, 2, 3}));
+  EXPECT_EQ(listed[3], (Clique{0, 1, 2, 7}));
+}
+
+TEST(CliqueKeyFormat, LanesSwitchAtThe64And128BitLimits) {
+  // A field holds ids in [0, n) as id+1, bit_width(n) bits wide: the
+  // narrow lane holds p fields when p·bits ≤ 64, the wide lane when
+  // p·bits ≤ 128; wider cliques (or p > 8) take the spill set.
+  using Lane = CliqueKeyFormat::Lane;
+  const auto lane_of = [](NodeId n, int p) {
+    const CliqueKeyFormat f(n);
+    std::vector<NodeId> ids(static_cast<std::size_t>(p));
+    for (int i = 0; i < p; ++i) ids[static_cast<std::size_t>(i)] = n - p + i;
+    return f.lane(ids.data(), ids.size());
+  };
+  for (int p = 3; p <= 8; ++p) {
+    const int narrow_bits = 64 / p;
+    if (narrow_bits < 31) {
+      const NodeId below = (NodeId{1} << narrow_bits) - 1;
+      EXPECT_EQ(lane_of(below, p), Lane::narrow) << "p=" << p;
+      EXPECT_NE(lane_of(below + 1, p), Lane::narrow) << "p=" << p;
+    }
+    const int wide_bits = 128 / p;
+    if (wide_bits < 31) {
+      const NodeId below = (NodeId{1} << wide_bits) - 1;
+      EXPECT_EQ(lane_of(below, p), Lane::wide) << "p=" << p;
+      EXPECT_EQ(lane_of(below + 1, p), Lane::spill) << "p=" << p;
+    }
+  }
+  EXPECT_EQ(lane_of(64, 9), Lane::spill);
+  // Ids outside [0, n) are never packed.
+  const CliqueKeyFormat f(10);
+  const NodeId out_of_range[] = {1, 2, 10};
+  const NodeId negative[] = {-1, 2, 3};
+  EXPECT_EQ(f.lane(out_of_range, 3), Lane::spill);
+  EXPECT_EQ(f.lane(negative, 3), Lane::spill);
+}
+
+TEST(ListingOutput, KeyWidthBoundariesMatchCliqueSet) {
+  // For p in 3..9 and n on either side of the 64-bit and 128-bit packing
+  // limits (up to 2^21 nodes), a report stream — every clique in random
+  // vertex order, duplicates split across shards, logs read midway —
+  // must land on the count, fingerprint, clique set and per-node totals of
+  // a reference CliqueSet fed the same stream.
+  struct Case {
+    int p;
+    NodeId n;
+  };
+  std::vector<Case> cases;
+  for (int p = 3; p <= 8; ++p) {
+    for (const int limit : {64, 128}) {
+      const int bits = limit / p;
+      if (bits > 21) continue;
+      cases.push_back({p, (NodeId{1} << bits) - 1});
+      cases.push_back({p, NodeId{1} << bits});
+    }
+  }
+  // p = 9 exceeds the widest packed key: the ten K9 of a planted K10 take
+  // the spill path.
+  cases.push_back({9, 40});
+  Rng rng(2024);
+  const auto planted = planted_clique(40, 10, 0.05, rng);
+  for (const Case& c : cases) {
+    SCOPED_TRACE("p=" + std::to_string(c.p) + " n=" + std::to_string(c.n));
+    const auto width = static_cast<std::size_t>(c.p);
+    std::vector<Clique> cliques;
+    CliqueSet distinct;
+    if (c.p == 9) {
+      cliques = list_k_cliques(planted.graph, 9);
+      ASSERT_GE(cliques.size(), 10u);
+    }
+    // Otherwise distinct random cliques; the first one spans the top id so
+    // the highest field value is exercised.
+    while (cliques.size() < 60 && c.p < 9) {
+      Clique q;
+      if (cliques.empty()) q.push_back(c.n - 1);
+      while (q.size() < width) {
+        const auto v = static_cast<NodeId>(
+            rng.next_below(static_cast<std::uint64_t>(c.n)));
+        if (std::find(q.begin(), q.end(), v) == q.end()) q.push_back(v);
+      }
+      if (distinct.insert(q)) cliques.push_back(q);
+    }
+    constexpr std::size_t kShards = 3;
+    ListingOutput whole(c.n);
+    std::vector<ListingOutput> shards(kShards, ListingOutput(c.n));
+    std::vector<std::uint64_t> per_node(static_cast<std::size_t>(c.n), 0);
+    std::uint64_t reports = 0;
+    CliqueSet reference;
+    for (std::size_t i = 0; i < cliques.size(); ++i) {
+      const std::uint64_t copies = 1 + rng.next_below(3);
+      for (std::uint64_t k = 0; k < copies; ++k) {
+        Clique shuffled = cliques[i];
+        rng.shuffle(shuffled);
+        const auto reporter = static_cast<NodeId>(
+            rng.next_below(static_cast<std::uint64_t>(c.n)));
+        reference.insert(shuffled);
+        whole.report(reporter, shuffled);
+        shards[rng.next_below(kShards)].report(reporter, shuffled);
+        ++per_node[static_cast<std::size_t>(reporter)];
+        ++reports;
+      }
+      if (i == cliques.size() / 2) {
+        (void)whole.unique_count();
+        (void)shards[0].unique_count();
+      }
+    }
+    ListingOutput merged(c.n);
+    for (const ListingOutput& s : shards) merged.merge_from(s);
+    for (const ListingOutput* out : {&whole, &merged}) {
+      EXPECT_EQ(out->unique_count(), reference.size());
+      EXPECT_EQ(out->total_reports(), reports);
+      EXPECT_EQ(out->cliques().fingerprint(), reference.fingerprint());
+      EXPECT_TRUE(out->cliques() == reference);
+      for (const Clique& q : cliques) EXPECT_TRUE(out->cliques().contains(q));
+      std::uint64_t max_reports = 0;
+      for (NodeId v = 0; v < c.n; ++v) {
+        const std::uint64_t expected = per_node[static_cast<std::size_t>(v)];
+        max_reports = std::max(max_reports, expected);
+        if (out->reports_of(v) != expected) {
+          ADD_FAILURE() << "reports_of(" << v << ")";
+          break;
+        }
+      }
+      EXPECT_EQ(out->max_reports_per_node(), max_reports);
+    }
+  }
 }
 
 TEST(KpConfigDefaults, MatchPaperStructure) {
