@@ -2,7 +2,7 @@
 // micro-benchmarks (M1–M3, bench_core).
 //
 // Each bench binary regenerates one claim of the paper as an ASCII table
-// (see DESIGN.md §5 for the experiment index and EXPERIMENTS.md for the
+// (each bench_e*.cpp header names its claim; EXPERIMENTS.md holds the
 // recorded paper-vs-measured outcomes). Workload families live in
 // graph/workloads.h so tests and examples can reuse them; helpers here fit
 // growth exponents, format output, and time kernels without any external

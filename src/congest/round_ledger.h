@@ -1,7 +1,7 @@
 // Round accounting shared by every simulated algorithm.
 //
-// Round costs enter the ledger through three channels, mirroring the three
-// fidelity levels documented in DESIGN.md §4:
+// Round costs enter the ledger through three channels, one per fidelity
+// level of the simulation:
 //  * `charge_exchange` — message-level phases whose cost is the exact
 //    per-edge congestion measured by the simulator;
 //  * `charge_routing`  — intra-cluster routing batches charged by the

@@ -565,6 +565,9 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
   //    bench input decomposes to a single cluster) still splits across
   //    threads instead of collapsing onto one.
   //
+  // Both phases run this way at every DCL_THREADS and in every fault mode;
+  // one shard runs inline on the calling thread.
+  //
   // Determinism contract: per-cluster RNGs are pre-split in cluster order
   // before the region (the parent stream advances exactly as the
   // sequential loop's split() calls did), clusters touch only disjoint
@@ -701,62 +704,26 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
                                 bandwidth, cost.messages);
   };
 
-  const auto cluster_count =
-      static_cast<std::int64_t>(deco.clusters.size());
   ClusterTailState tail;
-  // Single-threaded fast path: Phase B is guaranteed sequential (the
-  // weighted allocator caps at shard_threads()), so each cluster can
-  // enumerate inline right after its plan while the fragments are still
-  // cache-hot, and the plan's memory is released before the next cluster
-  // — the PR 5 locality, kept. Only the per-representative estimates
-  // survive, so the work-item accounting below stays a pure function of
-  // the plans and bit-identical to the multi-thread run. Charges are
-  // unaffected: enumeration never touches the ledger, and the commits
-  // below run in the same order either way.
-  // Crash mode keeps the plans alive past Phase A: a crash detected after
-  // the plan commits must be able to re-plan the touched clusters before
-  // enumeration, which the inline drop-plans-early path cannot do.
-  const bool inline_tail = shard_threads() <= 1 && !crash_mode;
-  std::vector<std::vector<std::uint64_t>> rep_ests;
-  if (inline_tail) {
-    rep_ests.resize(deco.clusters.size());
-    for (std::size_t ci = 0; ci < deco.clusters.size(); ++ci) {
-      prepare_cluster(ci, tail);
-      const InClusterPlan plan = std::move(plans[ci]);
-      auto& ests = rep_ests[ci];
-      ests.reserve(plan.reps.size());
-      for (const InClusterPlan::Rep& r : plan.reps) {
-        ests.push_back(r.est_work);
-      }
-      in_cluster_enumerate(plan, 0, plan.reps.size(), *ctx.out);
-    }
-  } else if (std::min<std::int64_t>(shard_threads(), cluster_count) <= 1) {
-    for (std::size_t ci = 0; ci < deco.clusters.size(); ++ci) {
-      prepare_cluster(ci, tail);
-    }
-  } else {
-    // Effective shard count (the same formula parallel_for_shards derives,
-    // grain 1): accumulators beyond it would never receive a cluster.
-    const auto buffers = static_cast<std::size_t>(
-        std::min<std::int64_t>(shard_threads(), cluster_count));
-    std::vector<ClusterTailState> shard_tail(buffers);
-    parallel_for_shards(
-        cluster_count, [&](int shard, std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t ci = lo; ci < hi; ++ci) {
-            prepare_cluster(static_cast<std::size_t>(ci),
-                            shard_tail[static_cast<std::size_t>(shard)]);
-          }
-        });
-    for (std::size_t s = 0; s < buffers; ++s) {
-      tail.reshuffle.merge_from(shard_tail[s].reshuffle);
-      tail.partition.merge_from(shard_tail[s].partition);
-      tail.distribution.merge_from(shard_tail[s].distribution);
-      tail.max_learned_edges =
-          std::max(tail.max_learned_edges, shard_tail[s].max_learned_edges);
-    }
+  // Sized by shard_threads(), an upper bound on the shard count; states
+  // that receive no cluster merge as no-ops.
+  std::vector<ClusterTailState> shard_tail(
+      static_cast<std::size_t>(shard_threads()));
+  parallel_for_shards(
+      static_cast<std::int64_t>(deco.clusters.size()),
+      [&](int shard, std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t ci = lo; ci < hi; ++ci) {
+          prepare_cluster(static_cast<std::size_t>(ci),
+                          shard_tail[static_cast<std::size_t>(shard)]);
+        }
+      });
+  for (const ClusterTailState& st : shard_tail) {
+    tail.reshuffle.merge_from(st.reshuffle);
+    tail.partition.merge_from(st.partition);
+    tail.distribution.merge_from(st.distribution);
+    trace.max_learned_edges =
+        std::max(trace.max_learned_edges, st.max_learned_edges);
   }
-  trace.max_learned_edges =
-      std::max(trace.max_learned_edges, tail.max_learned_edges);
   tail.reshuffle.commit(*ctx.ledger, "reshuffle (T2.4)", n);
   tail.partition.commit(*ctx.ledger, "partition-broadcast (T2.4)", n);
   tail.distribution.commit(*ctx.ledger, "edge-distribution (T2.4)", n);
@@ -815,19 +782,9 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
     std::uint32_t rep_begin = 0;
     std::uint32_t rep_end = 0;
   };
-  // Per-representative estimate accessors: the inline fast path has
-  // already dropped its plans and kept only the estimate lists.
-  const auto rep_count = [&](std::size_t ci) {
-    return inline_tail ? rep_ests[ci].size() : plans[ci].reps.size();
-  };
-  const auto rep_est = [&](std::size_t ci, std::size_t r) {
-    return inline_tail ? rep_ests[ci][r] : plans[ci].reps[r].est_work;
-  };
   std::uint64_t est_total = 0;
-  for (std::size_t ci = 0; ci < deco.clusters.size(); ++ci) {
-    for (std::size_t r = 0; r < rep_count(ci); ++r) {
-      est_total += rep_est(ci, r);
-    }
+  for (const InClusterPlan& plan : plans) {
+    for (const InClusterPlan::Rep& r : plan.reps) est_total += r.est_work;
   }
   const std::uint64_t item_grain =
       std::max<std::uint64_t>(1, est_total / kTailTargetItems);
@@ -836,9 +793,10 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
   for (std::size_t ci = 0; ci < deco.clusters.size(); ++ci) {
     std::uint32_t begin = 0;
     std::uint64_t acc = 0;
-    for (std::size_t r = 0; r < rep_count(ci); ++r) {
-      acc += rep_est(ci, r);
-      if (acc >= item_grain || r + 1 == rep_count(ci)) {
+    const auto& reps = plans[ci].reps;
+    for (std::size_t r = 0; r < reps.size(); ++r) {
+      acc += reps[r].est_work;
+      if (acc >= item_grain || r + 1 == reps.size()) {
         items.push_back(TailItem{static_cast<std::uint32_t>(ci), begin,
                                  static_cast<std::uint32_t>(r + 1)});
         item_weight.push_back(acc);
@@ -853,9 +811,7 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
   // Telemetry span for the enumeration tail. Its work-unit delta is
   // `est_total` — the same 64-bit quantity trace.tail_shard_work sums to —
   // added once from this sequential code, so one source of truth feeds
-  // both views and the span is identical at any DCL_THREADS (the inline
-  // fast path already enumerated during Phase A, but the work *accounting*
-  // is a pure function of the plans and lands here in every mode).
+  // both views and the span is identical at any DCL_THREADS.
   const std::int32_t enumerate_span = begin_step("arb/tail-enumerate");
   if (telemetry != nullptr) telemetry->add_work(est_total);
 
@@ -863,56 +819,40 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
       est_total, static_cast<std::int64_t>(items.size()),
       kTailEnumGrainWeight);
   trace.tail_shards = tail_shards;
-  auto enumerate_item = [&](const TailItem& item, ListingOutput& sink) {
-    in_cluster_enumerate(plans[item.cluster], item.rep_begin, item.rep_end,
-                         sink);
+  // One sink per shard; a single shard reports straight into the global
+  // collector, with no buffer to merge.
+  const auto sinks = static_cast<std::size_t>(std::max(1, tail_shards));
+  trace.tail_shard_work.assign(sinks, 0);
+  std::vector<ListingOutput> shard_out;
+  if (sinks > 1) shard_out.assign(sinks, ListingOutput(n));
+  const auto sink = [&](int shard) -> ListingOutput& {
+    return sinks > 1 ? shard_out[static_cast<std::size_t>(shard)] : *ctx.out;
   };
-  if (inline_tail) {
-    // Already enumerated cluster-by-cluster above; just record the trace
-    // and the per-item metrics (the same integer adds the shard cells
-    // fold below, so the values match the sharded path exactly).
-    trace.tail_shard_work.assign(1, est_total);
-    if (telemetry != nullptr) {
-      MetricsRegistry& metrics = telemetry->metrics();
-      for (const std::uint64_t w : item_weight) {
-        metrics.counter_add("arb.tail.enumerated_items", 1);
-        metrics.histogram_record("arb.tail.item_est_work", w);
-      }
-    }
-  } else {
-    // One sink per shard; a single shard reports straight into the global
-    // collector, with no buffer to merge.
-    const auto sinks = static_cast<std::size_t>(std::max(1, tail_shards));
-    trace.tail_shard_work.assign(sinks, 0);
-    std::vector<ListingOutput> shard_out;
-    if (sinks > 1) shard_out.assign(sinks, ListingOutput(n));
-    const auto sink = [&](int shard) -> ListingOutput& {
-      return sinks > 1 ? shard_out[static_cast<std::size_t>(shard)] : *ctx.out;
-    };
-    // Per-shard metric cells: shard bodies write only their own cell; the
-    // calling thread folds them back in shard order right after the
-    // listing-output merge (the parallel_for_shards merge contract).
-    std::vector<MetricsRegistry::ShardCell> tail_cells;
-    if (telemetry != nullptr) tail_cells.resize(sinks);
-    parallel_for_weighted_shards(
-        item_weight,
-        [&](int shard, std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t i = lo; i < hi; ++i) {
-            enumerate_item(items[static_cast<std::size_t>(i)], sink(shard));
-            trace.tail_shard_work[static_cast<std::size_t>(shard)] +=
-                item_weight[static_cast<std::size_t>(i)];
-            if (telemetry != nullptr) {
-              auto& cell = tail_cells[static_cast<std::size_t>(shard)];
-              cell.counter_add("arb.tail.enumerated_items", 1);
-              cell.histogram_record("arb.tail.item_est_work",
-                                    item_weight[static_cast<std::size_t>(i)]);
-            }
+  // Per-shard metric cells: shard bodies write only their own cell; the
+  // calling thread folds them back in shard order right after the
+  // listing-output merge (the parallel_for_shards merge contract).
+  std::vector<MetricsRegistry::ShardCell> tail_cells;
+  if (telemetry != nullptr) tail_cells.resize(sinks);
+  parallel_for_weighted_shards(
+      item_weight,
+      [&](int shard, std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t i = lo; i < hi; ++i) {
+          const TailItem& item = items[static_cast<std::size_t>(i)];
+          in_cluster_enumerate(plans[item.cluster], item.rep_begin,
+                               item.rep_end, sink(shard));
+          trace.tail_shard_work[static_cast<std::size_t>(shard)] +=
+              item_weight[static_cast<std::size_t>(i)];
+          if (telemetry != nullptr) {
+            auto& cell = tail_cells[static_cast<std::size_t>(shard)];
+            cell.counter_add("arb.tail.enumerated_items", 1);
+            cell.histogram_record("arb.tail.item_est_work",
+                                  item_weight[static_cast<std::size_t>(i)]);
           }
-        },
-        kTailEnumGrainWeight);
-    for (const ListingOutput& shard : shard_out) ctx.out->merge_from(shard);
-    if (telemetry != nullptr) telemetry->metrics().merge_cells(tail_cells);
-  }
+        }
+      },
+      kTailEnumGrainWeight);
+  for (const ListingOutput& shard : shard_out) ctx.out->merge_from(shard);
+  if (telemetry != nullptr) telemetry->metrics().merge_cells(tail_cells);
   end_step(enumerate_span);
 
   // ---- Fault plane: broadcast fallback for decimated clusters. -----------

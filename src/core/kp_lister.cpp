@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/math_util.h"
@@ -142,6 +144,21 @@ KpListResult list_kp_collect(const Graph& g, const KpConfig& cfg,
   if (cfg.p < 3) throw std::invalid_argument("list_kp: p must be >= 3");
   if (cfg.k4_fast && cfg.p != 4) {
     throw std::invalid_argument("list_kp: k4_fast requires p == 4");
+  }
+  // The scales feed threshold formulas that end in an integer cast; a zero,
+  // negative or NaN scale would turn that cast into undefined behaviour.
+  for (const auto& [name, scale] :
+       {std::pair{"heavy_scale", cfg.heavy_scale},
+        std::pair{"bad_scale", cfg.bad_scale},
+        std::pair{"stop_scale", cfg.stop_scale},
+        std::pair{"coupling_scale", cfg.coupling_scale}}) {
+    if (!std::isfinite(scale) || scale <= 0) {
+      throw std::invalid_argument(std::string("list_kp: ") + name +
+                                  " must be finite and > 0");
+    }
+  }
+  if (cfg.max_arb_iterations < 1) {
+    throw std::invalid_argument("list_kp: max_arb_iterations must be >= 1");
   }
   KpListResult result;
   const NodeId n = g.node_count();

@@ -83,12 +83,12 @@ class ListingOutput {
 ///  * worst_case — by the oblivious schedule a non-sparsity-aware algorithm
 ///    needs: every node must budget for all potential vertex pairs between
 ///    its parts, O(p² (n/q)²) slots. This is the ablation contrast of
-///    DESIGN.md E7(b).
+///    bench_e7_ablations (b).
 enum class InClusterChargeMode { measured, worst_case };
 
 /// Knobs for the Kp lister. The paper's thresholds are asymptotic formulas;
 /// each carries a scale factor so laptop-sized instances can exercise every
-/// mechanism (see DESIGN.md §4, "Thresholds and constants").
+/// mechanism.
 struct KpConfig {
   int p = 4;
 
@@ -123,7 +123,7 @@ struct KpConfig {
   /// 2·log2(n) (it stops when the coupled cluster degree n^δ = A/(2 log n)
   /// would drop below n^{stop}); at laptop scale that exceeds n itself, so
   /// the default 1.0 keeps the same asymptotic schedule with the polylog
-  /// factor normalized away (DESIGN.md §4).
+  /// factor normalized away.
   double stop_scale = 1.0;
 
   /// The §2.2 coupling n^δ = A / (coupling_scale · log2 n). Paper value:

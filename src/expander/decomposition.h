@@ -8,7 +8,7 @@
 //    ≤ n^δ that we return explicitly (the paper's Es,v sets);
 //  * |Er| ≤ |E|/6.
 //
-// Construction (centralized; DESIGN.md §2 documents the substitution): we
+// Construction (centralized, standing in for the distributed one): we
 // alternate low-degree peeling (removed nodes contribute their remaining
 // edges to Es, oriented away — this is the arboricity witness) with
 // spectral sweep-cut refinement (cut edges go to Er; both sides recurse).

@@ -14,10 +14,9 @@
 // push/pull that many messages per round through its cluster edges) and
 // the ceil(log2 n) factor stands in for the theorem's subpolynomial routing
 // overhead (the paper's footnote 6 argues this overhead is absorbable since
-// all final complexities are Ω(n^{1/3}); DESIGN.md §2 records the
-// substitution). Batches from different clusters in the same logical step
-// are combined with `ParallelRoutingCharge`, which charges the maximum —
-// clusters route simultaneously on disjoint edge sets.
+// all final complexities are Ω(n^{1/3})). Batches from different clusters
+// in the same logical step are combined with `ParallelRoutingCharge`, which
+// charges the maximum — clusters route simultaneously on disjoint edge sets.
 //
 // Lemma 2.5: new cluster-internal IDs {0..k-1} are assigned in O(polylog n)
 // rounds; `assign_cluster_ids` reproduces the assignment (sorted by

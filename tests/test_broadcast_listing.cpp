@@ -126,7 +126,7 @@ TEST(BroadcastListing, EmptyGraphIsFree) {
   EXPECT_EQ(out.unique_count(), 0u);
 }
 
-/// Honesty cross-check (DESIGN.md §4): the analytically charged cost of the
+/// Honesty cross-check: the analytically charged cost of the
 /// virtual broadcast must equal the measured congestion of a materialized
 /// message-by-message execution of the same pattern.
 TEST(BroadcastListing, ChargeMatchesMaterializedExchange) {

@@ -12,8 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "common/parallel_for.h"
@@ -298,27 +300,50 @@ TEST(PipelineChaos, FingerprintMatchesTheFaultFreeRunExactly) {
   }
 }
 
+/// Crash specs whose clocks land mid-pipeline. Both fire inside ARB-LIST
+/// (on clustered_workload(64, Rng(10)), p=4, seed 6) once stop_scale 0.1
+/// drives the run through it; at the default stop_scale neither is reached.
+constexpr const char* kMidRunCrashSpecs[] = {
+    "crash=5@2,seed=3", "drop=0.1,retries=3,crash=5@1,crash=29@4,seed=7"};
+constexpr double kMidRunStopScale = 0.1;
+
 TEST(PipelineChaos, FingerprintsAreThreadCountInvariantUnderFaults) {
-  Rng rng(3);
-  const Graph g = clustered_workload(64, rng);
-  const char* spec = "drop=0.1,dup=0.05,delay=0.05:2,retries=4,seed=23";
-  auto run = [&](int threads) {
-    ScopedShardThreads guard(threads);
-    FaultPlan plan(FaultSpec::parse(spec));
-    KpConfig cfg;
-    cfg.p = 4;
-    cfg.seed = 5;
-    cfg.faults = &plan;
-    ListingOutput out(g.node_count());
-    const auto result = list_kp_collect(g, cfg, out);
-    return std::tuple(out.cliques().fingerprint(), result.total_rounds(),
-                      result.ledger.retransmitted_messages());
+  struct Case {
+    const char* spec;
+    std::uint64_t graph_seed;
+    std::uint64_t seed;
+    double stop_scale;
   };
-  const auto [fp1, rounds1, retx1] = run(1);
-  const auto [fp4, rounds4, retx4] = run(4);
-  EXPECT_EQ(fp1, fp4);
-  EXPECT_DOUBLE_EQ(rounds1, rounds4);
-  EXPECT_EQ(retx1, retx4) << "the fault history must not depend on threads";
+  std::vector<Case> cases = {
+      {"drop=0.1,dup=0.05,delay=0.05:2,retries=4,seed=23", 3, 5, 1.0}};
+  for (const char* spec : kMidRunCrashSpecs) {
+    cases.push_back({spec, 10, 6, kMidRunStopScale});
+  }
+  for (const Case& tc : cases) {
+    SCOPED_TRACE(tc.spec);
+    Rng rng(tc.graph_seed);
+    const Graph g = clustered_workload(64, rng);
+    auto run = [&](int threads) {
+      ScopedShardThreads guard(threads);
+      FaultPlan plan(FaultSpec::parse(tc.spec));
+      KpConfig cfg;
+      cfg.p = 4;
+      cfg.seed = tc.seed;
+      cfg.stop_scale = tc.stop_scale;
+      cfg.faults = &plan;
+      ListingOutput out(g.node_count());
+      const auto result = list_kp_collect(g, cfg, out);
+      return std::tuple(out.cliques().fingerprint(), result.total_rounds(),
+                        result.ledger.retransmitted_messages(),
+                        result.crashed_nodes);
+    };
+    const auto [fp1, rounds1, retx1, crashed1] = run(1);
+    const auto [fp4, rounds4, retx4, crashed4] = run(4);
+    EXPECT_EQ(fp1, fp4);
+    EXPECT_DOUBLE_EQ(rounds1, rounds4);
+    EXPECT_EQ(retx1, retx4) << "the fault history must not depend on threads";
+    EXPECT_EQ(crashed1, crashed4);
+  }
 }
 
 TEST(PipelineChaos, DisabledPlanAttachedCostsExactlyNothing) {
@@ -460,20 +485,20 @@ TEST(PipelineChaos, MidRunCrashesWithMessageFaultsStaySound) {
   // combined with recoverable message faults — the hardest regime.
   Rng rng(10);
   const Graph g = clustered_workload(64, rng);
-  for (const char* spec :
-       {"crash=5@2,seed=3", "drop=0.1,retries=3,crash=5@1,crash=29@4,seed=7"}) {
+  for (const char* spec : kMidRunCrashSpecs) {
     SCOPED_TRACE(spec);
     FaultPlan plan(FaultSpec::parse(spec));
     KpConfig cfg;
     cfg.p = 4;
     cfg.seed = 6;
+    cfg.stop_scale = kMidRunStopScale;
     cfg.faults = &plan;
     ListingOutput out(g.node_count());
     const auto result = list_kp_collect(g, cfg, out);
     expect_result_valid(result);
-    if (!result.crashed_nodes.empty()) {
-      expect_survivor_contract(g, 4, result, out);
-    }
+    ASSERT_FALSE(result.arb_traces.empty()) << "the run never entered ARB-LIST";
+    ASSERT_FALSE(result.crashed_nodes.empty()) << "no crash fired";
+    expect_survivor_contract(g, 4, result, out);
   }
 }
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "enumeration/clique_enumeration.h"
 #include "graph/generators.h"
@@ -102,6 +106,45 @@ TEST(KpLister, RejectsBadConfig) {
   bad_fast.p = 5;
   bad_fast.k4_fast = true;
   EXPECT_THROW(list_kp(path_graph(3), bad_fast), std::invalid_argument);
+}
+
+TEST(KpLister, RejectsNonPositiveOrNonFiniteScales) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* field;
+    std::function<void(KpConfig&)> set;
+  };
+  const std::vector<Case> cases = {
+      {"heavy_scale", [&](KpConfig& c) { c.heavy_scale = 0.0; }},
+      {"heavy_scale", [&](KpConfig& c) { c.heavy_scale = nan; }},
+      {"bad_scale", [&](KpConfig& c) { c.bad_scale = -1.0; }},
+      {"bad_scale", [&](KpConfig& c) { c.bad_scale = nan; }},
+      {"stop_scale", [&](KpConfig& c) { c.stop_scale = nan; }},
+      {"stop_scale", [&](KpConfig& c) { c.stop_scale = inf; }},
+      {"coupling_scale", [&](KpConfig& c) { c.coupling_scale = 0.0; }},
+      {"coupling_scale", [&](KpConfig& c) { c.coupling_scale = -inf; }},
+      {"max_arb_iterations", [&](KpConfig& c) { c.max_arb_iterations = 0; }},
+      {"max_arb_iterations", [&](KpConfig& c) { c.max_arb_iterations = -3; }},
+  };
+  for (const Case& tc : cases) {
+    KpConfig cfg;
+    cfg.p = 4;
+    tc.set(cfg);
+    try {
+      list_kp(complete_graph(6), cfg);
+      ADD_FAILURE() << tc.field << ": expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(tc.field), std::string::npos)
+          << "message '" << e.what() << "' does not name " << tc.field;
+    }
+  }
+  // The defaults and small positive scales stay accepted.
+  KpConfig ok;
+  ok.p = 4;
+  ok.stop_scale = 0.01;
+  ok.max_arb_iterations = 1;
+  EXPECT_NO_THROW(list_kp(complete_graph(6), ok));
 }
 
 // ---- Configuration and ablation correctness -------------------------------
