@@ -14,9 +14,6 @@
 // (each directed edge delivers one message per round; all edges progress in
 // parallel). This is how the paper itself accounts its phases ("sending each
 // of its neighbors a chunk of at most O(n^{d-1/4}) of its outgoing edges").
-//
-// A step-driven `NodeProgram` API (engine.h) is layered on top for
-// algorithms that are naturally expressed round-by-round.
 #pragma once
 
 #include <cstdint>

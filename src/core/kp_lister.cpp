@@ -48,7 +48,7 @@ ListOutcome run_list_procedure(const Graph& base, const KpConfig& cfg,
                                std::int64_t arboricity_bound,
                                std::int64_t cluster_degree, int list_iteration,
                                std::vector<ArbIterationTrace>& arb_traces,
-                               FaultSession* faults, bool* crash_degraded) {
+                               FaultSession& faults, bool* crash_degraded) {
   ListOutcome outcome;
   EdgeMask es(base.edge_count());
   EdgeMask er = current;  // Er starts as the whole edge set (§2.3)
@@ -69,7 +69,7 @@ ListOutcome run_list_procedure(const Graph& base, const KpConfig& cfg,
     ctx.away = &away;
     ctx.cluster_degree = cluster_degree;
     ctx.arboricity_bound = arboricity_bound;
-    ctx.faults = faults;
+    ctx.faults = &faults;
     ctx.crash_degraded = crash_degraded;
     const double rounds_before = ledger.total_rounds();
     ArbIterationTrace trace = arb_list(ctx);
@@ -95,9 +95,7 @@ ListOutcome run_list_procedure(const Graph& base, const KpConfig& cfg,
       args.require_edge = &er;
       args.label = "list-fallback-broadcast";
       const auto stats = broadcast_listing(args, ledger, out);
-      if (faults != nullptr) {
-        faults->inject(ledger, "list-fallback-broadcast", stats.messages);
-      }
+      faults.inject(ledger, "list-fallback-broadcast", stats.messages);
       arb_span.sync_to(ledger.total_rounds(), ledger.total_messages());
       if (TraceCollector* telemetry = arb_span.collector()) {
         telemetry->instant("list-fallback-broadcast", "core");
@@ -123,9 +121,7 @@ ListOutcome run_list_procedure(const Graph& base, const KpConfig& cfg,
     args.require_edge = &er;
     args.label = "list-fallback-broadcast";
     const auto stats = broadcast_listing(args, ledger, out);
-    if (faults != nullptr) {
-      faults->inject(ledger, "list-fallback-broadcast", stats.messages);
-    }
+    faults.inject(ledger, "list-fallback-broadcast", stats.messages);
     if (TraceCollector* telemetry = active_telemetry()) {
       telemetry->sync_to(ledger.total_rounds(), ledger.total_messages());
       telemetry->instant("list-fallback-broadcast", "core");
@@ -169,9 +165,8 @@ KpListResult list_kp_collect(const Graph& g, const KpConfig& cfg,
 
   // Fault plane: one session per run threads the logical phase clock, the
   // detected-crash set, and the loss tally through the whole pipeline.
-  FaultSession session;
-  session.plan = cfg.faults;
-  FaultSession* const faults = session.active() ? &session : nullptr;
+  FaultSession faults;
+  faults.plan = cfg.faults;
   bool crash_degraded = false;
 
   Rng rng(cfg.seed);
@@ -238,19 +233,15 @@ KpListResult list_kp_collect(const Graph& g, const KpConfig& cfg,
   // Crash sweep first: a node that died since the last ARB-LIST boundary
   // cannot take part in the broadcast, and its edges left the survivor
   // contract.
-  if (faults != nullptr) {
-    const auto newly = faults->detect_crashes(n);
-    faults->charge_crash_timeout(result.ledger, newly.size());
-    if (faults->dead_count() > 0) {
-      std::vector<EdgeId> doomed;
-      current.for_each_set([&](EdgeId e) {
-        const Edge& ed = g.edge(e);
-        if (faults->is_dead(ed.u) || faults->is_dead(ed.v)) {
-          doomed.push_back(e);
-        }
-      });
-      for (const EdgeId e : doomed) current.set(e, false);
-    }
+  const auto newly = faults.detect_crashes(n);
+  faults.charge_crash_timeout(result.ledger, newly.size());
+  if (faults.dead_count() > 0) {
+    std::vector<EdgeId> doomed;
+    current.for_each_set([&](EdgeId e) {
+      const Edge& ed = g.edge(e);
+      if (faults.is_dead(ed.u) || faults.is_dead(ed.v)) doomed.push_back(e);
+    });
+    for (const EdgeId e : doomed) current.set(e, false);
   }
   {
     SpanGuard final_span(telemetry, "final-broadcast", "core");
@@ -262,9 +253,7 @@ KpListResult list_kp_collect(const Graph& g, const KpConfig& cfg,
     args.mode = BroadcastMode::out_edges;
     args.label = "final-broadcast";
     const auto final_stats = broadcast_listing(args, result.ledger, out);
-    if (faults != nullptr) {
-      faults->inject(result.ledger, "final-broadcast", final_stats.messages);
-    }
+    faults.inject(result.ledger, "final-broadcast", final_stats.messages);
     final_span.sync_to(result.ledger.total_rounds(),
                        result.ledger.total_messages());
   }
@@ -274,9 +263,9 @@ KpListResult list_kp_collect(const Graph& g, const KpConfig& cfg,
   result.duplication_factor = out.duplication_factor();
   result.lost_messages = result.ledger.lost_messages();
   result.crash_degraded = crash_degraded;
-  if (faults != nullptr) {
+  if (faults.dead_count() > 0) {
     for (NodeId v = 0; v < n; ++v) {
-      if (faults->is_dead(v)) result.crashed_nodes.push_back(v);
+      if (faults.is_dead(v)) result.crashed_nodes.push_back(v);
     }
   }
   if (telemetry != nullptr) {

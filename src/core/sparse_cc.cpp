@@ -101,9 +101,8 @@ SparseCcResult sparse_cc_list(const Graph& g, const SparseCcConfig& cfg,
   // Fault plane: the clique phases are accounting-level, so the session
   // wraps the two charge sites below (retry entries + resend escalation;
   // the listed cliques are unchanged — see docs/ROBUSTNESS.md).
-  FaultSession session;
-  session.plan = cfg.faults;
-  FaultSession* const faults = session.active() ? &session : nullptr;
+  FaultSession faults;
+  faults.plan = cfg.faults;
 
   CliqueNetwork net(n, cfg.routing);
   net.begin_phase("part-announce");
@@ -113,13 +112,8 @@ SparseCcResult sparse_cc_list(const Graph& g, const SparseCcConfig& cfg,
   net.end_phase();
   const std::uint64_t announce_msgs = static_cast<std::uint64_t>(n) *
                                       static_cast<std::uint64_t>(n - 1);
-  if (faults != nullptr) {
-    faults->charge_exchange(net.ledger(), "part-announce(broadcast)", 1.0,
-                            announce_msgs);
-  } else {
-    net.ledger().charge_exchange("part-announce(broadcast)", 1.0,
-                                 announce_msgs);
-  }
+  faults.charge_exchange(net.ledger(), "part-announce(broadcast)", 1.0,
+                         announce_msgs);
 
   // Bucket edges by part pair (Lemma 2.7 balance check) and compute loads.
   std::vector<std::vector<DirectedEdge>> bucket(
@@ -207,15 +201,8 @@ SparseCcResult sparse_cc_list(const Graph& g, const SparseCcConfig& cfg,
       (max_load == 0)
           ? 0
           : ceil_div(max_load, static_cast<std::int64_t>(n) - 1) + 2;
-  if (faults != nullptr) {
-    faults->charge_exchange(net.ledger(), "edge-distribution(lenzen)",
-                            static_cast<double>(distribution_rounds),
-                            total_msgs);
-  } else {
-    net.ledger().charge_exchange("edge-distribution(lenzen)",
-                                 static_cast<double>(distribution_rounds),
-                                 total_msgs);
-  }
+  faults.charge_exchange(net.ledger(), "edge-distribution(lenzen)",
+                         static_cast<double>(distribution_rounds), total_msgs);
 
   if (!cfg.perform_listing) {
     result.ledger = net.ledger();

@@ -10,7 +10,6 @@
 
 #include "common/rng.h"
 #include "congest/delivery_arena.h"
-#include "congest/engine.h"
 #include "graph/generators.h"
 
 namespace dcl {
@@ -108,187 +107,6 @@ TEST(CongestNetwork, LedgerAccumulatesPhases) {
   EXPECT_EQ(net.ledger().total_messages(), 3u);
   EXPECT_EQ(net.phase_count(), 2u);
 }
-
-// ---- Round-driven engine -------------------------------------------------
-
-/// Flood a token from node 0; each node records the round it first hears.
-class FloodProgram : public NodeProgram {
- public:
-  explicit FloodProgram(NodeId self) : self_(self) {}
-  void on_start(RoundApi& api) override {
-    if (self_ == 0) {
-      heard_at_ = 0;
-      for (const NodeId w : api.graph().neighbors(self_)) {
-        api.send(w, Message{.tag = 1});
-      }
-    }
-  }
-  bool on_round(RoundApi& api, std::span<const Delivery> received) override {
-    if (heard_at_ < 0 && !received.empty()) {
-      heard_at_ = api.round() + 1;  // delivered at start of this round
-      for (const NodeId w : api.graph().neighbors(self_)) {
-        api.send(w, Message{.tag = 1});
-      }
-      return true;
-    }
-    return false;
-  }
-  std::int64_t heard_at() const { return heard_at_; }
-
- private:
-  NodeId self_;
-  std::int64_t heard_at_ = -1;
-};
-
-TEST(CongestEngine, FloodReachesAllInEccentricityRounds) {
-  const Graph g = path_graph(6);
-  CongestEngine engine(g, [](NodeId v) {
-    return std::make_unique<FloodProgram>(v);
-  });
-  engine.run();
-  for (NodeId v = 0; v < 6; ++v) {
-    const auto& prog = static_cast<FloodProgram&>(engine.program(v));
-    EXPECT_EQ(prog.heard_at(), v) << "distance along the path";
-  }
-}
-
-/// A program that (illegally) sends two messages to the same neighbor.
-class DoubleSendProgram : public NodeProgram {
- public:
-  bool on_round(RoundApi& api, std::span<const Delivery>) override {
-    if (api.self() == 0 && api.round() == 0) {
-      api.send(1, Message{});
-      api.send(1, Message{});  // must throw
-    }
-    return false;
-  }
-};
-
-TEST(CongestEngine, OneMessagePerNeighborPerRound) {
-  const Graph g = path_graph(2);
-  CongestEngine engine(g, [](NodeId) {
-    return std::make_unique<DoubleSendProgram>();
-  });
-  EXPECT_THROW(engine.run(), std::logic_error);
-}
-
-/// Sending to a non-neighbor must throw.
-class BadTargetProgram : public NodeProgram {
- public:
-  bool on_round(RoundApi& api, std::span<const Delivery>) override {
-    if (api.self() == 0 && api.round() == 0) api.send(2, Message{});
-    return false;
-  }
-};
-
-TEST(CongestEngine, RejectsNonNeighborTarget) {
-  const Graph g = path_graph(3);
-  CongestEngine engine(g, [](NodeId) {
-    return std::make_unique<BadTargetProgram>();
-  });
-  EXPECT_THROW(engine.run(), std::invalid_argument);
-}
-
-/// Sends one message to the same neighbor every round for `kRounds` rounds.
-/// Legal under CONGEST: the send-once bookkeeping must be reset per round,
-/// not accumulate across rounds (regression test for `sent_to_` handling).
-class RepeatSendProgram : public NodeProgram {
- public:
-  static constexpr int kRounds = 5;
-  bool on_round(RoundApi& api, std::span<const Delivery> received) override {
-    if (api.self() == 0 && api.round() < kRounds) {
-      api.send(1, Message{.tag = static_cast<int>(api.round())});
-      return true;
-    }
-    if (api.self() == 1) received_ += static_cast<int>(received.size());
-    return false;
-  }
-  int received() const { return received_; }
-
- private:
-  int received_ = 0;
-};
-
-TEST(CongestEngine, SendOnceResetsEveryRound) {
-  const Graph g = path_graph(2);
-  CongestEngine engine(g, [](NodeId) {
-    return std::make_unique<RepeatSendProgram>();
-  });
-  EXPECT_NO_THROW(engine.run());
-  const auto& receiver = static_cast<RepeatSendProgram&>(engine.program(1));
-  EXPECT_EQ(receiver.received(), RepeatSendProgram::kRounds);
-}
-
-TEST(CongestEngine, LedgerChargesRunCost) {
-  const Graph g = path_graph(6);
-  CongestEngine engine(g, [](NodeId v) {
-    return std::make_unique<FloodProgram>(v);
-  });
-  const auto rounds = engine.run();
-  EXPECT_DOUBLE_EQ(engine.ledger().total_rounds(),
-                   static_cast<double>(rounds));
-  EXPECT_GT(engine.ledger().total_messages(), 0u);
-}
-
-TEST(CongestEngine, QuiescenceTerminates) {
-  const Graph g = cycle_graph(8);
-  CongestEngine engine(g, [](NodeId v) {
-    return std::make_unique<FloodProgram>(v);
-  });
-  const auto rounds = engine.run(1000);
-  EXPECT_LT(rounds, 10);  // eccentricity of C8 from node 0 is 4
-}
-
-TEST(CongestEngine, QuiescenceChargesNoExtraRound) {
-  // Flood on P2: node 1 hears in round 0 and refloods; round 1 delivers
-  // that reflood to a node that is already done. The run must stop right
-  // there — a delivery consumed by on_round is not "in flight", so no
-  // third round may be charged.
-  const Graph g = path_graph(2);
-  CongestEngine engine(g, [](NodeId v) {
-    return std::make_unique<FloodProgram>(v);
-  });
-  EXPECT_EQ(engine.run(), 2);
-  EXPECT_DOUBLE_EQ(engine.ledger().total_rounds(), 2.0);
-  EXPECT_EQ(engine.ledger().total_messages(), 2u);  // 0→1, then 1→0
-}
-
-/// Every node is done from the start and nothing is ever queued.
-class IdleProgram : public NodeProgram {
- public:
-  bool on_round(RoundApi&, std::span<const Delivery>) override {
-    return false;
-  }
-};
-
-TEST(CongestEngine, AllDoneAndNothingQueuedTerminatesAfterOneRound) {
-  // One on_round sweep is needed to learn every node is done; with no
-  // queued and no in-flight messages the engine must charge exactly that
-  // single round and stop.
-  const Graph g = cycle_graph(5);
-  CongestEngine engine(g, [](NodeId) {
-    return std::make_unique<IdleProgram>();
-  });
-  EXPECT_EQ(engine.run(), 1);
-  EXPECT_DOUBLE_EQ(engine.ledger().total_rounds(), 1.0);
-  EXPECT_EQ(engine.ledger().total_messages(), 0u);
-}
-
-TEST(CongestEngine, FloodLedgerChargeIsPinned) {
-  // Exact engine-run charge for the P6 flood: the farthest node (distance
-  // 5) hears in round 4 and refloods; round 5 delivers its flood — 6
-  // rounds total, and every node floods once, so messages = sum of
-  // degrees = 2m = 10. Pins the engine's cost model across refactors.
-  const Graph g = path_graph(6);
-  CongestEngine engine(g, [](NodeId v) {
-    return std::make_unique<FloodProgram>(v);
-  });
-  EXPECT_EQ(engine.run(), 6);
-  EXPECT_DOUBLE_EQ(engine.ledger().total_rounds(), 6.0);
-  EXPECT_EQ(engine.ledger().total_messages(),
-            static_cast<std::uint64_t>(2 * g.edge_count()));
-}
-
 
 TEST(CongestNetwork, InboxEmptyWhileNextPhaseIsOpen) {
   const Graph g = path_graph(3);

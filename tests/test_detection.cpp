@@ -94,6 +94,29 @@ TEST(Counting, AggregationChargedSeparately) {
   EXPECT_GT(result.rounds, result.aggregation_rounds);
 }
 
+TEST(Counting, AggregationRoundsAreTwiceTheDeepestBfsTree) {
+  // Up and down a BFS tree rooted at each component's minimum-id node; the
+  // components aggregate in parallel, so the charge is 2 * max depth.
+  struct Case {
+    const char* name;
+    Graph graph;
+    double rounds;
+  };
+  const Case cases[] = {
+      {"P2", path_graph(2), 2.0},
+      {"P9", path_graph(9), 16.0},
+      {"P6+K5", disjoint_union(path_graph(6), complete_graph(5)), 10.0},
+      {"K5+P6", disjoint_union(complete_graph(5), path_graph(6)), 10.0},
+      {"P1+K4", disjoint_union(path_graph(1), complete_graph(4)), 2.0},
+  };
+  for (const Case& c : cases) {
+    KpConfig cfg;
+    cfg.p = 3;
+    const auto result = count_kp_distributed(c.graph, cfg);
+    EXPECT_DOUBLE_EQ(result.aggregation_rounds, c.rounds) << c.name;
+  }
+}
+
 TEST(Counting, DisconnectedGraph) {
   const Graph g = disjoint_union(complete_graph(5), complete_graph(6));
   KpConfig cfg;

@@ -1,9 +1,9 @@
 // Chaos differential suite for the fault-injection plane.
 //
 // Three layers, matching the degradation contracts of docs/ROBUSTNESS.md:
-//  * message-level (CongestNetwork / CongestEngine): recoverable faults
-//    leave delivered contents bit-identical and only cost rounds; losses
-//    beyond the retry budget are genuinely withheld;
+//  * message-level (CongestNetwork): recoverable faults leave delivered
+//    contents bit-identical and only cost rounds; losses beyond the retry
+//    budget are genuinely withheld;
 //  * accounting-level pipelines (list_kp / sparse_cc): any drop/dup/delay
 //    sweep leaves the clique fingerprint bit-identical to the fault-free
 //    run — the degradation is charged cost, never output;
@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <sstream>
 #include <tuple>
 #include <vector>
@@ -21,7 +20,6 @@
 #include "common/parallel_for.h"
 #include "common/rng.h"
 #include "congest/congest_network.h"
-#include "congest/engine.h"
 #include "congest/fault_plan.h"
 #include "core/kp_lister.h"
 #include "core/sparse_cc.h"
@@ -116,110 +114,6 @@ TEST(CongestNetworkFaults, FaultClockAdvancesPerPhase) {
     net.end_phase();
   }
   EXPECT_EQ(net.fault_clock(), 3);
-}
-
-// ---- Message level: CongestEngine ----------------------------------------
-
-/// Flood a token from node 0; each node records the round it first hears.
-class FloodProgram : public NodeProgram {
- public:
-  explicit FloodProgram(NodeId self) : self_(self) {}
-  void on_start(RoundApi& api) override {
-    if (self_ == 0) {
-      heard_at_ = 0;
-      for (const NodeId w : api.graph().neighbors(self_)) {
-        api.send(w, Message{.tag = 1});
-      }
-    }
-  }
-  bool on_round(RoundApi& api, std::span<const Delivery> received) override {
-    if (heard_at_ < 0 && !received.empty()) {
-      heard_at_ = api.round() + 1;
-      for (const NodeId w : api.graph().neighbors(self_)) {
-        api.send(w, Message{.tag = 1});
-      }
-      return true;
-    }
-    return false;
-  }
-  std::int64_t heard_at() const { return heard_at_; }
-
- private:
-  NodeId self_;
-  std::int64_t heard_at_ = -1;
-};
-
-TEST(CongestEngineFaults, FloodSurvivesRecoverableFaults) {
-  const Graph g = path_graph(7);
-  const auto factory = [](NodeId v) {
-    return std::make_unique<FloodProgram>(v);
-  };
-  CongestEngine clean(g, factory);
-  const auto clean_rounds = clean.run();
-
-  FaultPlan plan(FaultSpec::parse("drop=0.3,delay=0.2:2,retries=10,seed=4"));
-  CongestEngine engine(g, factory);
-  engine.attach_faults(&plan);
-  const auto rounds = engine.run();
-  EXPECT_EQ(engine.lost_messages(), 0u);
-  EXPECT_GE(rounds, clean_rounds) << "recovery executes as real rounds";
-  for (NodeId v = 0; v < 7; ++v) {
-    EXPECT_GE(static_cast<FloodProgram&>(engine.program(v)).heard_at(), 0)
-        << "node " << v << " never heard the token";
-  }
-  EXPECT_GT(engine.ledger().retransmitted_messages(), 0u);
-}
-
-TEST(CongestEngineFaults, CrashStopPartitionsTheFlood) {
-  // Node 2 of a 5-path dies at round 0: the token can never cross it.
-  const Graph g = path_graph(5);
-  FaultPlan plan(FaultSpec::parse("crash=2@0"));
-  CongestEngine engine(g, [](NodeId v) {
-    return std::make_unique<FloodProgram>(v);
-  });
-  engine.attach_faults(&plan);
-  engine.run();
-  EXPECT_GE(static_cast<FloodProgram&>(engine.program(1)).heard_at(), 0);
-  EXPECT_LT(static_cast<FloodProgram&>(engine.program(2)).heard_at(), 0);
-  EXPECT_LT(static_cast<FloodProgram&>(engine.program(3)).heard_at(), 0);
-  EXPECT_LT(static_cast<FloodProgram&>(engine.program(4)).heard_at(), 0);
-}
-
-/// Two nodes ping-ponging forever: the canonical non-quiescing protocol.
-class PingPongProgram : public NodeProgram {
- public:
-  void on_start(RoundApi& api) override {
-    if (api.self() == 0) api.send(1, Message{.tag = 0});
-  }
-  bool on_round(RoundApi& api, std::span<const Delivery> received) override {
-    for (const Delivery& d : received) {
-      api.send(d.from, Message{.tag = d.msg.tag + 1});
-    }
-    return true;  // never locally done
-  }
-};
-
-TEST(CongestEngineFaults, WatchdogThrowsInsteadOfSilentlyTruncating) {
-  const Graph g = path_graph(2);
-  CongestEngine engine(g, [](NodeId) {
-    return std::make_unique<PingPongProgram>();
-  });
-  try {
-    engine.run(50);
-    FAIL() << "a non-quiescing protocol must trip the watchdog";
-  } catch (const EngineStallError& e) {
-    EXPECT_EQ(e.round, 50);
-    EXPECT_GE(e.last_progress_round, 0) << "the ping-pong was making progress";
-    EXPECT_NE(std::string(e.what()).find("50"), std::string::npos);
-  }
-}
-
-TEST(CongestEngineFaults, WatchdogStaysSilentOnQuiescentRuns) {
-  const Graph g = path_graph(6);
-  CongestEngine engine(g, [](NodeId v) {
-    return std::make_unique<FloodProgram>(v);
-  });
-  EXPECT_NO_THROW(engine.run(1'000));
 }
 
 // ---- Accounting level: the listing pipelines -----------------------------
