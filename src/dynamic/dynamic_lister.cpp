@@ -1,6 +1,6 @@
 #include "dynamic/dynamic_lister.h"
 
-#include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "common/telemetry.h"
@@ -21,22 +21,38 @@ DynamicLister::DynamicLister(NodeId n, int p)
     : p_((check_p(p), p)),
       graph_(n),
       orientation_(graph_),
+      added_(n),
+      removed_(n),
       scratch_(make_delta_scratch(p)) {}
 
 DynamicLister::DynamicLister(const Graph& seed, int p)
     : p_((check_p(p), p)),
       graph_(DynamicGraph::from_graph(seed)),
       orientation_(graph_),
+      added_(seed.node_count()),
+      removed_(seed.node_count()),
       scratch_(make_delta_scratch(p)) {
   const std::vector<NodeId> flat = list_k_cliques_flat(seed, p);
   const auto width = static_cast<std::size_t>(p);
-  cliques_.reserve(flat.size() / width);
   for (std::size_t at = 0; at < flat.size(); at += width) {
-    cliques_.insert(std::span<const NodeId>(flat.data() + at, width));
+    fingerprint_ +=
+        CliqueSet::member_hash(std::span<const NodeId>(flat.data() + at, width));
   }
-  stats_.clique_count = cliques_.size();
-  stats_.fingerprint = cliques_.fingerprint();
+  count_ = flat.size() / width;
+  stats_.clique_count = count_;
+  stats_.fingerprint = fingerprint_;
   stats_.arboricity_witness = orientation_.max_out_degree();
+}
+
+CliqueSet DynamicLister::cliques() const {
+  const std::vector<NodeId> flat = list_k_cliques_flat(graph_.snapshot(), p_);
+  const auto width = static_cast<std::size_t>(p_);
+  CliqueSet set;
+  set.reserve(flat.size() / width);
+  for (std::size_t at = 0; at < flat.size(); at += width) {
+    set.insert(std::span<const NodeId>(flat.data() + at, width));
+  }
+  return set;
 }
 
 ListingDelta DynamicLister::apply(const UpdateBatch& batch) {
@@ -46,8 +62,6 @@ ListingDelta DynamicLister::apply(const UpdateBatch& batch) {
   TraceCollector* const telemetry = active_telemetry();
   SpanGuard batch_span(telemetry, "dynamic-batch", "dynamic");
   stats_ = DynamicBatchStats{};
-  CliqueSet batch_added;
-  CliqueSet batch_removed;
   const auto neighbors = [this](NodeId x) { return graph_.neighbors(x); };
 
   // Deletions first: enumerate each doomed edge's cliques while the edge
@@ -58,12 +72,9 @@ ListingDelta DynamicLister::apply(const UpdateBatch& batch) {
       ++stats_.skipped_erases;
       continue;
     }
-    for_each_clique_with_edge(neighbors, e.u, e.v, p_, scratch_,
-                              [&](std::span<const NodeId> clique) {
-                                if (cliques_.erase(clique)) {
-                                  batch_removed.insert(clique);
-                                }
-                              });
+    for_each_clique_with_edge(
+        neighbors, e.u, e.v, p_, scratch_,
+        [&](std::span<const NodeId> clique) { removed_.append(clique); });
     const auto id = graph_.erase_edge(e.u, e.v);
     orientation_.on_erase(*id);
     ++stats_.erased_edges;
@@ -72,6 +83,7 @@ ListingDelta DynamicLister::apply(const UpdateBatch& batch) {
   // Insertions: each new edge is enumerated in the graph that already
   // contains it (and every earlier insert), so a clique spanning several
   // inserted edges completes — and is recorded — exactly at the last one.
+  // None of them is live yet: each holds the new edge.
   for (const Edge& e : batch.insert) {
     const auto [id, fresh] = graph_.insert_edge(e.u, e.v);
     if (!fresh) {
@@ -79,24 +91,28 @@ ListingDelta DynamicLister::apply(const UpdateBatch& batch) {
       continue;
     }
     orientation_.on_insert(id);
-    for_each_clique_with_edge(neighbors, e.u, e.v, p_, scratch_,
-                              [&](std::span<const NodeId> clique) {
-                                if (cliques_.insert(clique)) {
-                                  // Re-added after a removal earlier in
-                                  // this batch: pure churn, net zero.
-                                  if (!batch_removed.erase(clique)) {
-                                    batch_added.insert(clique);
-                                  }
-                                }
-                              });
+    for_each_clique_with_edge(
+        neighbors, e.u, e.v, p_, scratch_,
+        [&](std::span<const NodeId> clique) { added_.append(clique); });
     ++stats_.inserted_edges;
   }
 
+  // A clique removed and re-added in this batch is in both runs: it cancels
+  // out of the sums, and the merge leaves it out of the delta.
+  const CliqueRun added = added_.run();
+  const CliqueRun removed = removed_.run();
+  count_ = count_ + added.size() - removed.size();
+  fingerprint_ += added.fingerprint() - removed.fingerprint();
+  ListingDelta delta;
+  added.difference(removed, delta.added, delta.removed);
+  added_.clear();
+  removed_.clear();
+
   stats_.orientation_flips = orientation_.flush();
-  stats_.cliques_added = batch_added.size();
-  stats_.cliques_removed = batch_removed.size();
-  stats_.clique_count = cliques_.size();
-  stats_.fingerprint = cliques_.fingerprint();
+  stats_.cliques_added = delta.added.size();
+  stats_.cliques_removed = delta.removed.size();
+  stats_.clique_count = count_;
+  stats_.fingerprint = fingerprint_;
   stats_.arboricity_witness = orientation_.max_out_degree();
   if (telemetry != nullptr) {
     batch_span.add_work(stats_.erased_edges + stats_.inserted_edges);
@@ -114,12 +130,6 @@ ListingDelta DynamicLister::apply(const UpdateBatch& batch) {
     metrics.gauge_max("dynamic.arboricity_witness",
                       static_cast<std::int64_t>(stats_.arboricity_witness));
   }
-
-  ListingDelta delta;
-  delta.added = batch_added.to_vector();
-  delta.removed = batch_removed.to_vector();
-  std::sort(delta.added.begin(), delta.added.end());
-  std::sort(delta.removed.begin(), delta.removed.end());
   return delta;
 }
 

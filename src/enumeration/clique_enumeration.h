@@ -66,9 +66,10 @@ inline void sort_clique_ids(NodeId* c, std::size_t width) {
   }
 }
 
-/// Canonical set of cliques with value semantics and erase: the clique set
-/// `DynamicLister` maintains under churn, and the oracle's comparison
-/// target for listing validation.
+/// Canonical set of cliques with value semantics and erase: the oracle's
+/// comparison target for listing validation (and `DynamicLister::cliques()`,
+/// its on-demand view of the live cliques), and the spill lane of the
+/// clique log for cliques no packed key holds.
 ///
 /// Cliques of up to `kPackedMax` vertices — every Kp the paper's algorithms
 /// list (p ≤ 8) — live in an open-addressing flat table over fixed-width
@@ -93,8 +94,7 @@ class CliqueSet {
   bool insert(std::span<const NodeId> clique);
   /// Erases a clique (any vertex order); returns true if it was present.
   /// Packed erase is backward-shift deletion (no tombstones), so lookup
-  /// probe lengths never degrade under churn — the dynamic engine erases
-  /// and re-inserts continuously.
+  /// probe lengths never degrade under churn.
   bool erase(const Clique& clique);
   bool erase(std::span<const NodeId> clique);
   bool contains(const Clique& clique) const;
@@ -127,8 +127,9 @@ class CliqueSet {
 
   /// One member's contribution to `fingerprint()`: the hash of the sorted
   /// clique `sorted`. Lets another container of cliques (the listing
-  /// output's sorted run) report a fingerprint bit-identical to a
-  /// CliqueSet holding the same cliques.
+  /// output's sorted run) or a running sum with no container at all
+  /// (`DynamicLister`) report a fingerprint bit-identical to a CliqueSet
+  /// holding the same cliques.
   static std::uint64_t member_hash(std::span<const NodeId> sorted);
 
   /// Visits every member clique as a sorted `std::span<const NodeId>`

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
 
 namespace dcl {
 
@@ -50,6 +51,44 @@ std::size_t sorted_copy(std::span<const NodeId> clique,
   std::copy(clique.begin(), clique.end(), ids.begin());
   sort_clique_ids(ids.data(), clique.size());
   return clique.size();
+}
+
+/// Merges two sorted unique key lanes, unpacking each key only one side
+/// holds onto that side's output.
+template <typename Key>
+void merge_lane(const CliqueKeyFormat& format, std::span<const Key> a,
+                std::span<const Key> b, std::vector<Clique>& only_a,
+                std::vector<Clique>& only_b) {
+  std::array<NodeId, CliqueSet::kPackedMax> ids;
+  const auto emit = [&](Key key, std::vector<Clique>& out) {
+    const std::size_t len = format.unpack(key, ids.data());
+    out.emplace_back(ids.begin(),
+                     ids.begin() + static_cast<std::ptrdiff_t>(len));
+  };
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] < b[j]) {
+      emit(a[i++], only_a);
+    } else if (b[j] < a[i]) {
+      emit(b[j++], only_b);
+    } else {
+      ++i;
+      ++j;
+    }
+  }
+  for (; i < a.size(); ++i) emit(a[i], only_a);
+  for (; j < b.size(); ++j) emit(b[j], only_b);
+}
+
+/// The spill lane is a hash set: its difference is sorted before it is
+/// appended, so the output order does not depend on slot order.
+void spill_difference(const CliqueSet& a, const CliqueSet& b,
+                      std::vector<Clique>& only_a) {
+  std::vector<Clique> only = a.difference(b);
+  std::sort(only.begin(), only.end());
+  only_a.insert(only_a.end(), std::make_move_iterator(only.begin()),
+                std::make_move_iterator(only.end()));
 }
 
 }  // namespace
@@ -105,6 +144,15 @@ std::vector<Clique> CliqueRun::to_vector() const {
   return out;
 }
 
+void CliqueRun::difference(const CliqueRun& other,
+                           std::vector<Clique>& only_here,
+                           std::vector<Clique>& only_there) const {
+  merge_lane(format_, narrow_, other.narrow_, only_here, only_there);
+  merge_lane(format_, wide_, other.wide_, only_here, only_there);
+  spill_difference(*spill_, *other.spill_, only_here);
+  spill_difference(*other.spill_, *spill_, only_there);
+}
+
 namespace {
 
 template <typename Set>
@@ -150,6 +198,12 @@ void CliqueLog::settle(Lane<Key>& lane) const {
     lane.fingerprint += CliqueSet::member_hash(
         std::span<const NodeId>(ids.data(), format_.unpack(key, ids.data())));
   }
+}
+
+void CliqueLog::clear() {
+  narrow_.clear();
+  wide_.clear();
+  spill_ = CliqueSet{};
 }
 
 CliqueRun CliqueLog::run() const {

@@ -106,6 +106,13 @@ class CliqueRun {
 
   std::vector<Clique> to_vector() const;
 
+  /// One linear merge of this run and `other`, both read from logs over the
+  /// same n: appends the members only this run holds to `only_here` and the
+  /// members only `other` holds to `only_there`. Cliques of one width come
+  /// out in lexicographic order, the order std::sort gives them.
+  void difference(const CliqueRun& other, std::vector<Clique>& only_here,
+                  std::vector<Clique>& only_there) const;
+
   bool operator==(const CliqueSet& other) const;
   bool operator==(const CliqueRun& other) const;
 
@@ -167,12 +174,22 @@ class CliqueLog {
   /// itself while appends are pending.
   CliqueRun run() const;
 
+  /// Empties the log and keeps its key capacity, so a log refilled per
+  /// batch stops allocating once it has held the largest batch.
+  void clear();
+
  private:
   template <typename Key>
   struct Lane {
     std::vector<Key> keys;
     std::size_t sorted = 0;        ///< keys[0, sorted) is sorted and unique
     std::uint64_t fingerprint = 0;  ///< of keys[0, sorted)
+
+    void clear() {
+      keys.clear();
+      sorted = 0;
+      fingerprint = 0;
+    }
   };
   template <typename Key>
   void settle(Lane<Key>& lane) const;

@@ -1,6 +1,9 @@
 // Slow sweeps for the batch-dynamic engine (ctest label: slow): longer
 // streams over all four update-stream families, p ∈ {3,4,5}, checked
-// against a from-scratch static recompute at every checkpoint. The fast
+// against a from-scratch static recompute at every checkpoint. The lister
+// maintains only the clique count and fingerprint, so each checkpoint
+// checks both and reconciles the reported delta: the previous from-scratch
+// set plus `added` minus `removed` must equal the current one. The fast
 // counterpart (small instances, edge cases) is test_dynamic_lister.cpp.
 #include "dynamic/dynamic_lister.h"
 
@@ -22,9 +25,10 @@ CliqueSet static_recompute(const Graph& g, int p) {
 
 void sweep(const UpdateStream& stream, int p) {
   DynamicLister lister(Graph::from_edges(stream.n, stream.initial), p);
+  CliqueSet prev = static_recompute(lister.graph().snapshot(), p);
   std::uint64_t batch_index = 0;
   for (const UpdateBatch& batch : stream.batches) {
-    lister.apply(batch);
+    const ListingDelta delta = lister.apply(batch);
     const CliqueSet expected =
         static_recompute(lister.graph().snapshot(), p);
     ASSERT_EQ(lister.clique_count(), expected.size())
@@ -33,6 +37,17 @@ void sweep(const UpdateStream& stream, int p) {
         << "p=" << p << " batch=" << batch_index;
     ASSERT_EQ(lister.fingerprint(), expected.fingerprint())
         << "p=" << p << " batch=" << batch_index;
+    for (const Clique& c : delta.removed) {
+      ASSERT_TRUE(prev.erase(c))
+          << "removed clique absent before: p=" << p
+          << " batch=" << batch_index;
+    }
+    for (const Clique& c : delta.added) {
+      ASSERT_TRUE(prev.insert(c))
+          << "added clique present before: p=" << p
+          << " batch=" << batch_index;
+    }
+    ASSERT_TRUE(prev == expected) << "p=" << p << " batch=" << batch_index;
     ++batch_index;
   }
 }

@@ -294,6 +294,97 @@ TEST(ListingOutput, KeyWidthBoundariesMatchCliqueSet) {
   }
 }
 
+TEST(CliqueLog, ClearEmptiesTheRunAndRefillsLikeAFreshLog) {
+  // n = 70,000 gives 17-bit fields: K3 keys are narrow, K5 keys wide, K8
+  // keys spill into the packed set and K9 into its node-based one, so
+  // clear() must reset every lane.
+  const NodeId n = 70000;
+  Rng rng(77);
+  const auto random_clique = [&](std::size_t width) {
+    Clique q;
+    while (q.size() < width) {
+      const auto v = static_cast<NodeId>(
+          rng.next_below(static_cast<std::uint64_t>(n)));
+      if (std::find(q.begin(), q.end(), v) == q.end()) q.push_back(v);
+    }
+    return q;
+  };
+  const auto fill = [&](CliqueLog& log, std::vector<Clique>& appended) {
+    for (const std::size_t width : {3, 5, 8, 9}) {
+      for (int i = 0; i < 20; ++i) {
+        appended.push_back(random_clique(width));
+        log.append(appended.back());
+        log.append(appended.back());  // a duplicate the run must drop
+      }
+    }
+  };
+  CliqueLog reused(n);
+  std::vector<Clique> first;
+  fill(reused, first);
+  ASSERT_EQ(reused.run().size(), first.size());
+  reused.clear();
+  EXPECT_EQ(reused.run().size(), 0u);
+  EXPECT_EQ(reused.run().fingerprint(), 0u);
+  EXPECT_TRUE(reused.run() == CliqueSet{});
+
+  std::vector<Clique> second;
+  fill(reused, second);
+  CliqueLog fresh(n);
+  for (const Clique& q : second) fresh.append(q);
+  const CliqueSet reference(second);
+  EXPECT_EQ(reused.run().size(), reference.size());
+  EXPECT_EQ(reused.run().fingerprint(), reference.fingerprint());
+  EXPECT_TRUE(reused.run() == fresh.run());
+  EXPECT_TRUE(reused.run() == reference);
+  EXPECT_EQ(reused.run().to_vector(), fresh.run().to_vector());
+  for (const Clique& q : first) {
+    if (!reference.contains(q)) {
+      EXPECT_FALSE(reused.run().contains(q));
+    }
+  }
+}
+
+TEST(CliqueLog, DifferenceIsTheSortedOneSidedMembers) {
+  // Per lane (narrow K3, wide K5, packed-spill K8, node-spill K9 at
+  // n = 70,000), two runs sharing some members split into exactly the
+  // sorted one-sided sets.
+  const NodeId n = 70000;
+  Rng rng(78);
+  for (const std::size_t width : {3, 5, 8, 9}) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    CliqueLog a(n);
+    CliqueLog b(n);
+    CliqueSet in_a;
+    CliqueSet in_b;
+    for (int i = 0; i < 60; ++i) {
+      Clique q;
+      while (q.size() < width) {
+        const auto v = static_cast<NodeId>(
+            rng.next_below(static_cast<std::uint64_t>(n)));
+        if (std::find(q.begin(), q.end(), v) == q.end()) q.push_back(v);
+      }
+      const std::uint64_t side = rng.next_below(3);  // a, b, or both
+      if (side != 1) {
+        a.append(q);
+        in_a.insert(q);
+      }
+      if (side != 0) {
+        b.append(q);
+        in_b.insert(q);
+      }
+    }
+    std::vector<Clique> only_a;
+    std::vector<Clique> only_b;
+    a.run().difference(b.run(), only_a, only_b);
+    std::vector<Clique> want_a = in_a.difference(in_b);
+    std::vector<Clique> want_b = in_b.difference(in_a);
+    std::sort(want_a.begin(), want_a.end());
+    std::sort(want_b.begin(), want_b.end());
+    EXPECT_EQ(only_a, want_a);
+    EXPECT_EQ(only_b, want_b);
+  }
+}
+
 TEST(KpConfigDefaults, MatchPaperStructure) {
   const KpConfig cfg;
   EXPECT_EQ(cfg.p, 4);

@@ -424,11 +424,16 @@ int cmd_dynamic(int argc, char** argv) {
                 static_cast<unsigned long long>(s.clique_count),
                 s.arboricity_witness);
   }
-  const auto truth = count_k_cliques(lister.graph().snapshot(), p);
-  std::printf("oracle check:   %llu — %s\n",
-              static_cast<unsigned long long>(truth),
-              truth == lister.clique_count() ? "match" : "MISMATCH");
-  return truth == lister.clique_count() ? 0 : 1;
+  // The count and the fingerprint are maintained apart from any clique
+  // set, so both are checked against a from-scratch enumeration of the
+  // final snapshot (`cliques()` enumerates it per call).
+  const CliqueSet truth = lister.cliques();
+  const bool ok = truth.size() == lister.clique_count() &&
+                  truth.fingerprint() == lister.fingerprint();
+  std::printf("oracle check:   %zu fingerprint %016llx — %s\n", truth.size(),
+              static_cast<unsigned long long>(truth.fingerprint()),
+              ok ? "match" : "MISMATCH");
+  return ok ? 0 : 1;
 }
 
 }  // namespace
