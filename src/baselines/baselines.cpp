@@ -94,7 +94,7 @@ BaselineResult oblivious_cc_list(const Graph& g, int p, ListingOutput& out) {
       for (std::size_t x = 0; x < global.size(); ++x) {
         global[x] = to_global[static_cast<std::size_t>(flat[at + x])];
       }
-      out.report(i, global);
+      out.report(global);
     }
   }
   result.unique_cliques = out.unique_count();

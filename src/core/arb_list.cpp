@@ -785,7 +785,11 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
   std::uint64_t est_total = 0;
   for (const InClusterPlan& plan : plans) {
     for (const InClusterPlan::Rep& r : plan.reps) est_total += r.est_work;
+    if (!plan.reps.empty()) ++trace.tail_clusters;
   }
+  // Each plan gives a clique one owner among its own representatives, but
+  // a clique whose edges two clusters both hold can have an owner in each.
+  if (trace.tail_clusters > 1) ctx.out->mark_may_repeat();
   const std::uint64_t item_grain =
       std::max<std::uint64_t>(1, est_total / kTailTargetItems);
   std::vector<TailItem> items;
@@ -918,7 +922,7 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
               const auto eid = base.edge_id(inter[x], inter[y]);
               if (!eid || !cur[*eid]) continue;
               const NodeId quad[4] = {inter[x], inter[y], v, v2};
-              ctx.out->report(v, quad);
+              ctx.out->report(quad);
             }
           }
         }

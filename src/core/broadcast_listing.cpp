@@ -58,7 +58,7 @@ BroadcastListingStats broadcast_listing(const BroadcastListingArgs& args,
   }
 
   // Equivalent local listing: every Kp of the current graph is known to all
-  // its members; report once with the minimum-id member as reporter.
+  // its members; its minimum-id member reports it, once.
   std::vector<Edge> edges;
   std::vector<EdgeId> kept_ids;
   edges.reserve(static_cast<std::size_t>(current_edges));
@@ -86,7 +86,15 @@ BroadcastListingStats broadcast_listing(const BroadcastListingArgs& args,
       }
       if (!ok) continue;
     }
-    out.report(clique.front(), clique);  // sorted: the minimum-id member
+    // Each clique is listed once here. Without a required edge the stage
+    // lists only edges no earlier stage owns (goal edges leave the current
+    // set after each ARB-LIST call), so its reports are owned; the
+    // fallbacks that filter by `require_edge` may repeat earlier reports.
+    if (args.require_edge != nullptr) {
+      out.report(clique);
+    } else {
+      out.report_owned(clique);
+    }
     ++stats.cliques_reported;
   }
   return stats;

@@ -58,7 +58,12 @@ struct BroadcastListingStats {
 };
 
 /// Charges the exact broadcast cost to `ledger` and reports every remaining
-/// clique (reporter = its minimum-id member, the standard tie-break).
+/// clique once (its minimum-id member reports it, the standard
+/// tie-break). Without `require_edge` the reports are owned
+/// (`ListingOutput::report_owned`): the caller guarantees that `out` holds
+/// none of these cliques yet, as the final stage and the one-shot leftover
+/// do, since every earlier stage's goal edges have left the current set.
+/// With `require_edge` (the fallbacks) they may repeat earlier reports.
 BroadcastListingStats broadcast_listing(const BroadcastListingArgs& args,
                                         RoundLedger& ledger,
                                         ListingOutput& out);

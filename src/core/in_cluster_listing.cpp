@@ -1,6 +1,7 @@
 #include "core/in_cluster_listing.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -22,7 +23,6 @@ InClusterPlan in_cluster_plan(const InClusterProblem& problem, Rng& rng) {
   }
 
   InClusterPlan plan;
-  plan.cluster = &cluster;
   plan.p = p;
   const int q = std::max<int>(
       1, static_cast<int>(floor_pow(static_cast<std::int64_t>(k),
@@ -128,10 +128,12 @@ InClusterPlan in_cluster_plan(const InClusterProblem& problem, Rng& rng) {
         plan.compact_to_global[static_cast<std::size_t>(c)])] = c;
   }
   plan.part_begin.assign(static_cast<std::size_t>(q) + 1, 0);
+  plan.compact_part.resize(static_cast<std::size_t>(compact_n));
   for (NodeId c = 0; c < compact_n; ++c) {
-    ++plan.part_begin[static_cast<std::size_t>(
-        part[static_cast<std::size_t>(
-            plan.compact_to_global[static_cast<std::size_t>(c)])]) + 1];
+    const int a = part[static_cast<std::size_t>(
+        plan.compact_to_global[static_cast<std::size_t>(c)])];
+    plan.compact_part[static_cast<std::size_t>(c)] = a;
+    ++plan.part_begin[static_cast<std::size_t>(a) + 1];
   }
   for (int a = 0; a < q; ++a) {
     plan.part_begin[static_cast<std::size_t>(a) + 1] +=
@@ -271,6 +273,48 @@ InClusterPlan in_cluster_plan(const InClusterProblem& problem, Rng& rng) {
     plan.reps.push_back(r);
   }
 
+  // Ownership. Every representative covering a found clique's reduced
+  // multiset R receives all of the clique's edges, goal edge included, so
+  // it survived the filters above; the first of them in roster order owns
+  // R. Claims (R, rep) over every representative's covered codes are
+  // sorted, and the first claim of each R sets that rep's owned bit. Only
+  // R of at most p parts can come from a p-clique; the packed key then
+  // holds at most min(p, 2q) fields of bit_width(q) bits, which fits 64
+  // bits because q^p ≤ k.
+  {
+    struct Claim {
+      std::uint64_t key;
+      std::uint64_t bit;  ///< also ascends with the roster
+    };
+    std::vector<Claim> claims;
+    const int field = std::bit_width(static_cast<unsigned>(q));
+    std::uint64_t bits = 0;
+    for (InClusterPlan::Rep& r : plan.reps) {
+      const ReducedCover cover_of(tuple[static_cast<std::size_t>(r.node)]);
+      r.owned_begin = bits;
+      for (std::uint32_t code = 0; code < cover_of.codes; ++code) {
+        const std::vector<int> reduced = cover_of.decode(code);
+        if (reduced.size() > static_cast<std::size_t>(p)) continue;
+        std::uint64_t key = 0;
+        for (const int a : reduced) {
+          key = (key << field) | static_cast<std::uint64_t>(a + 1);
+        }
+        claims.push_back(Claim{key, bits + code});
+      }
+      bits += cover_of.codes;
+    }
+    std::sort(claims.begin(), claims.end(),
+              [](const Claim& x, const Claim& y) {
+                return x.key != y.key ? x.key < y.key : x.bit < y.bit;
+              });
+    plan.owned.assign(static_cast<std::int64_t>(bits), false);
+    for (std::size_t i = 0; i < claims.size(); ++i) {
+      if (i == 0 || claims[i].key != claims[i - 1].key) {
+        plan.owned.set(static_cast<std::int64_t>(claims[i].bit));
+      }
+    }
+  }
+
   for (NodeId j = 0; j < k; ++j) {
     plan.cost.max_send =
         std::max(plan.cost.max_send, send_load[static_cast<std::size_t>(j)]);
@@ -297,7 +341,13 @@ std::uint64_t in_cluster_enumerate(const InClusterPlan& plan,
                                    std::size_t rep_begin, std::size_t rep_end,
                                    ListingOutput& out) {
   const int p = plan.p;
-  std::uint64_t reported = 0;
+  std::uint64_t found = 0;
+  std::uint64_t unowned = 0;
+  // Per-part scratch for the owner test: the radix weight of each part of
+  // the current representative's multiset, and a multiplicity count that
+  // is back to zero after every find.
+  std::vector<std::uint32_t> weight(static_cast<std::size_t>(plan.q), 0);
+  std::vector<int> seen(static_cast<std::size_t>(plan.q), 0);
   std::vector<Edge> edges;
   std::vector<std::uint8_t> edge_goal;
   EdgeMask local_goal;
@@ -306,6 +356,13 @@ std::uint64_t in_cluster_enumerate(const InClusterPlan& plan,
   for (std::size_t r = rep_begin; r < rep_end; ++r) {
     const InClusterPlan::Rep& rep = plan.reps[r];
     const bool all_goal = rep.all_goal;
+    {
+      const ReducedCover cover_of(part_multiset(rep.node, plan.q, p));
+      for (std::size_t i = 0; i < cover_of.parts.size(); ++i) {
+        weight[static_cast<std::size_t>(cover_of.parts[i])] =
+            cover_of.weight[i];
+      }
+    }
     // Assemble the local graph by concatenating the covered fragments.
     // Compact ids ascend part-major, so walking parts in ascending order
     // and each part's range in ascending id order visits sources in
@@ -356,8 +413,9 @@ std::uint64_t in_cluster_enumerate(const InClusterPlan& plan,
     const auto width = static_cast<std::size_t>(p);
     for (std::size_t at = 0; at < flat.size(); at += width) {
       const NodeId* c = flat.data() + at;
-      // Report only cliques containing at least one goal edge of C — the
-      // task assigned to this cluster (others are other iterations' work).
+      // Report only cliques containing at least one goal edge of this
+      // ARB-LIST call (the mask holds every cluster's goal edges; cliques
+      // without one are other iterations' work).
       bool has_goal = all_goal;
       for (std::size_t x = 0; x < width && !has_goal; ++x) {
         for (std::size_t y = x + 1; y < width && !has_goal; ++y) {
@@ -366,15 +424,31 @@ std::uint64_t in_cluster_enumerate(const InClusterPlan& plan,
         }
       }
       if (!has_goal) continue;
+      ++found;
+      // Owner test: the clique's reduced multiset, coded in this
+      // representative's radix (a part adds its weight at most twice).
+      std::uint64_t code = 0;
+      for (std::size_t i = 0; i < width; ++i) {
+        const auto a = static_cast<std::size_t>(
+            plan.compact_part[static_cast<std::size_t>(c[i])]);
+        if (seen[a]++ < 2) code += weight[a];
+      }
+      for (std::size_t i = 0; i < width; ++i) {
+        seen[static_cast<std::size_t>(
+            plan.compact_part[static_cast<std::size_t>(c[i])])] = 0;
+      }
+      if (!plan.owned[static_cast<std::int64_t>(rep.owned_begin + code)]) {
+        ++unowned;
+        continue;
+      }
       for (std::size_t i = 0; i < width; ++i) {
         global[i] = plan.compact_to_global[static_cast<std::size_t>(c[i])];
       }
-      out.report(plan.cluster->nodes[static_cast<std::size_t>(rep.node)],
-                 global);
-      ++reported;
+      out.report_owned(global);
     }
   }
-  return reported;
+  out.count_unowned(unowned);
+  return found;
 }
 
 InClusterCost in_cluster_list(const InClusterProblem& problem, Rng& rng,

@@ -16,7 +16,16 @@
 //     contains both endpoint parts, computing the exact per-node send and
 //     receive loads that Theorem 2.4 routing would charge;
 //  4. has every node enumerate the Kp instances inside its received edge
-//     set and report those containing at least one goal edge of C.
+//     set and report those containing at least one goal edge of this
+//     ARB-LIST call.
+//
+// Exactly-once reporting: a node finds a clique K exactly when its part
+// multiset covers R(K), K's part multiset with each multiplicity capped at
+// 2 (`ReducedCover`, core/part_tables.h). The owner of R is the first
+// surviving representative, in roster order, that covers it; only the
+// owner appends K to the output, the other finds are only counted. So the
+// cluster's reports hold every clique once and `ListingOutput` needs no
+// dedup sort for them.
 //
 // Cost model: the returned loads feed a ParallelRoutingCharge in the
 // caller; `InClusterChargeMode::worst_case` replaces the measured loads by
@@ -130,9 +139,12 @@ struct InClusterPlan {
     /// with k·p² — 64-bit so a million-node cluster roster cannot wrap.
     std::uint64_t frag_begin = 0;  ///< range into `frag_refs`
     std::uint64_t frag_end = 0;
+    /// First bit of this representative's owned mask in `owned`: bit
+    /// owned_begin + code is set when it owns the reduced multiset with
+    /// that `ReducedCover` code of its part multiset.
+    std::uint64_t owned_begin = 0;
   };
 
-  const Cluster* cluster = nullptr;  ///< for reporter ids (global node ids)
   int p = 4;
   int q = 1;
   NodeId compact_n = 0;
@@ -140,27 +152,30 @@ struct InClusterPlan {
   /// output, accumulated by the `in_cluster_enumerate` return values).
   InClusterCost cost;
   std::vector<NodeId> compact_to_global;
+  std::vector<int> compact_part;   ///< part of each compact id
   std::vector<NodeId> part_begin;  ///< compact range of each part, q+1 fences
   std::vector<Fragment> fragments;
   std::vector<FragRef> frag_refs;
   std::vector<Rep> reps;
+  EdgeMask owned;  ///< per-rep owned masks, at most 3^p bits each
   std::uint64_t est_work_total = 0;  ///< Σ reps[i].est_work
 };
 
 /// Steps 1-3.5: partition, bucket, compile fragments, pick representatives,
-/// and account every load the routing would charge. Pure with respect to
+/// give every reduced part multiset its owner, and account every load the
+/// routing would charge. Pure with respect to
 /// `rng` (one plan per cluster per pre-split Rng); safe to call concurrently
 /// for DISTINCT clusters.
 InClusterPlan in_cluster_plan(const InClusterProblem& problem, Rng& rng);
 
 /// Step 4 for the representative range [rep_begin, rep_end): assembles each
 /// representative's local graph from the plan's fragments, lists its Kp
-/// instances, and reports the goal-containing ones into `out` (reporter =
-/// the global id of the representative's cluster node). Returns the number
-/// of cliques reported. Read-only on `plan`: concurrent calls over disjoint
-/// ranges of the same plan are safe, and a representative's output does not
-/// depend on which range contains it — any partition of [0, reps.size())
-/// yields the same union of reports.
+/// instances, and reports the goal-containing ones it owns into `out`
+/// (`report_owned`); the goal finds it does not own go to
+/// `count_unowned`. Returns the number of goal finds. Read-only on `plan`:
+/// concurrent calls over disjoint ranges of the same plan are safe, and a
+/// representative's output does not depend on which range contains it —
+/// any partition of [0, reps.size()) yields the same reports.
 std::uint64_t in_cluster_enumerate(const InClusterPlan& plan,
                                    std::size_t rep_begin, std::size_t rep_end,
                                    ListingOutput& out);

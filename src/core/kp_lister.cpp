@@ -258,9 +258,14 @@ KpListResult list_kp_collect(const Graph& g, const KpConfig& cfg,
                        result.ledger.total_messages());
   }
 
-  result.unique_cliques = out.unique_count();
-  result.total_reports = out.total_reports();
-  result.duplication_factor = out.duplication_factor();
+  {
+    // The count read is O(1) on an exact output; a may-repeat output pays
+    // its dedup sort here, so a traced run names that time.
+    SpanGuard finalize_span(telemetry, "list-kp/finalize", "core");
+    result.unique_cliques = out.unique_count();
+    result.total_reports = out.total_reports();
+    result.duplication_factor = out.duplication_factor();
+  }
   result.lost_messages = result.ledger.lost_messages();
   result.crash_degraded = crash_degraded;
   if (faults.dead_count() > 0) {

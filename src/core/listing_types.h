@@ -17,44 +17,66 @@ namespace dcl {
 
 /// Collects the listing output of every node. The distributed guarantee
 /// (Section 1) is that the *union* of all node outputs equals the set of Kp
-/// instances; several nodes may legitimately report the same clique, so the
-/// collector deduplicates and tracks the duplication factor. Reports are
-/// appended to a CliqueLog and deduplicated once, at the first read of the
-/// cliques (enumeration/clique_log.h).
+/// instances. Reports reach a CliqueLog (enumeration/clique_log.h) on two
+/// paths:
+///  * `report` may repeat a clique other nodes also report; the log then
+///    sorts and deduplicates once, at the first read of the count.
+///  * `report_owned` is the clique's one report in this output (the
+///    in-cluster lister gives every part multiset one owner, and the final
+///    broadcast reports each clique once). While every report is owned,
+///    the output is `exact()`: `unique_count()` and the fingerprint are
+///    O(1) and no sort runs unless a caller reads the cliques in order.
+/// `total_reports` counts every find, owned or not, so the duplication
+/// factor keeps its meaning: finds per unique clique.
 class ListingOutput {
  public:
-  explicit ListingOutput(NodeId n)
-      : log_(n), per_node_reports_(static_cast<std::size_t>(n), 0) {}
+  explicit ListingOutput(NodeId n) : log_(n) {}
 
-  /// Records that `reporter` output `clique` (any vertex order). For p ≤ 8
-  /// this is a sort, a pack and an append to the log.
-  void report(NodeId reporter, std::span<const NodeId> clique) {
-    const std::uint64_t reports =
-        ++per_node_reports_[static_cast<std::size_t>(reporter)];
-    max_reports_ = std::max(max_reports_, reports);
+  /// Records a report of `clique` (any vertex order) that other reports may
+  /// repeat. For p ≤ 8 this is a sort, a pack and an append to the log.
+  void report(std::span<const NodeId> clique) {
     ++total_reports_;
     log_.append(clique);
   }
+  /// The same, for callers that name the reporting node; the reporter is
+  /// not recorded.
+  void report(NodeId /*reporter*/, std::span<const NodeId> clique) {
+    report(clique);
+  }
 
-  /// Folds a per-shard buffer into this collector: traffic statistics add,
-  /// per-node totals add (the running maximum is recomputed from the
-  /// merged totals, which is exactly where the sequential running max
-  /// lands), and the shard's log is appended to this one. Deduplication
-  /// happens at the first read, so the result is the same in any merge
-  /// order — the contract the cluster-parallel ARB-LIST tail relies on.
-  /// `shard` must have been constructed for the same node count.
+  /// Records the one report of `clique` in this output. Two owned reports
+  /// of one clique are a contract violation unless `mark_may_repeat()` was
+  /// called (Debug builds assert it at the first sort).
+  void report_owned(std::span<const NodeId> clique) {
+    ++total_reports_;
+    log_.append_owned(clique);
+  }
+
+  /// Counts `finds` reports of cliques whose owner reports them: the total
+  /// grows, the log does not.
+  void count_unowned(std::uint64_t finds) { total_reports_ += finds; }
+
+  /// Declares that owned reports may repeat a clique (owners in different
+  /// clusters); the count then needs the sort.
+  void mark_may_repeat() { log_.mark_may_repeat(); }
+
+  /// Whether no report repeats a clique, so the count and the fingerprint
+  /// need no sort.
+  bool exact() const { return log_.exact(); }
+
+  /// Folds a per-shard buffer into this collector: report totals add and
+  /// the shard's log is appended to this one (owned counts and
+  /// fingerprints add; a may-repeat shard makes the result may-repeat).
+  /// Deduplication happens at the first read, so the result is the same in
+  /// any merge order — the contract the cluster-parallel ARB-LIST tail
+  /// relies on. `shard` must have been constructed for the same node count.
   void merge_from(const ListingOutput& shard) {
     total_reports_ += shard.total_reports_;
-    for (std::size_t v = 0; v < per_node_reports_.size(); ++v) {
-      if (shard.per_node_reports_[v] == 0) continue;
-      per_node_reports_[v] += shard.per_node_reports_[v];
-      max_reports_ = std::max(max_reports_, per_node_reports_[v]);
-    }
     log_.append(shard.log_);
   }
 
-  /// The deduplicated cliques as a sorted run; the first read after a
-  /// report sorts the log (CliqueLog::run). Valid until the next report.
+  /// The unique cliques. `size()` and `fingerprint()` are O(1) on an exact
+  /// output; any other read sorts the log on first use (CliqueLog::run).
   CliqueRun cliques() const { return log_.run(); }
   std::uint64_t total_reports() const { return total_reports_; }
   std::uint64_t unique_count() const { return cliques().size(); }
@@ -64,17 +86,10 @@ class ListingOutput {
                        : static_cast<double>(total_reports_) /
                              static_cast<double>(unique);
   }
-  std::uint64_t reports_of(NodeId v) const {
-    return per_node_reports_[static_cast<std::size_t>(v)];
-  }
-  /// Maintained incrementally at report time — O(1), not an O(n) rescan.
-  std::uint64_t max_reports_per_node() const { return max_reports_; }
 
  private:
   CliqueLog log_;
   std::uint64_t total_reports_ = 0;
-  std::uint64_t max_reports_ = 0;
-  std::vector<std::uint64_t> per_node_reports_;
 };
 
 /// How the in-cluster lister charges the edge-distribution step.
@@ -170,6 +185,10 @@ struct ArbIterationTrace {
   /// of these estimates (max/mean across shards) IS the parallelism
   /// evidence, not wall-clock (ROADMAP "standing constraints").
   std::int64_t tail_work_items = 0;
+  /// Clusters whose plan kept a representative. Above one, a clique can
+  /// have an owner in two clusters, so the call marks the output
+  /// may-repeat.
+  std::int64_t tail_clusters = 0;
   std::int64_t tail_shards = 0;
   std::vector<std::uint64_t> tail_shard_work;
   std::uint64_t tail_est_work_total = 0;

@@ -84,6 +84,44 @@ inline std::vector<NodeId> representative_table(
   return rep;
 }
 
+/// The reduced part multisets that the sorted multiset `s` covers. A
+/// clique's reduced multiset R caps each part's multiplicity at 2: a node
+/// receives every edge of the clique exactly when its multiset covers R.
+/// R ⊆ s is coded in mixed radix over s's distinct parts, code =
+/// Σ r_i · weight[i] with r_i ≤ cap[i] = min(multiplicity in s, 2), so the
+/// codes of one multiset fill [0, codes).
+struct ReducedCover {
+  std::vector<int> parts;              ///< distinct parts of s, ascending
+  std::vector<int> cap;                ///< min(multiplicity, 2) per part
+  std::vector<std::uint32_t> weight;   ///< radix weight per part
+  std::uint32_t codes = 1;             ///< Π (cap[i] + 1) ≤ 3^p
+
+  explicit ReducedCover(const std::vector<int>& s) {
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      if (i > 0 && s[i] == s[i - 1]) {
+        cap.back() = 2;
+        continue;
+      }
+      parts.push_back(s[i]);
+      cap.push_back(1);
+    }
+    for (const int c : cap) {
+      weight.push_back(codes);
+      codes *= static_cast<std::uint32_t>(c + 1);
+    }
+  }
+
+  /// The sorted parts of the reduced multiset with code `code`.
+  std::vector<int> decode(std::uint32_t code) const {
+    std::vector<int> r;
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      const auto radix = static_cast<std::uint32_t>(cap[i] + 1);
+      r.insert(r.end(), code / weight[i] % radix, parts[i]);
+    }
+    return r;
+  }
+};
+
 /// cover[(a,b)] = number of tuples covering the unordered part pair {a,b};
 /// a q*q table indexed by pair_index.
 inline std::vector<std::int64_t> coverage_table(

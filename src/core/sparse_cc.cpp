@@ -255,7 +255,7 @@ SparseCcResult sparse_cc_list(const Graph& g, const SparseCcConfig& cfg,
       for (std::size_t x = 0; x < global.size(); ++x) {
         global[x] = to_global[static_cast<std::size_t>(flat[at + x])];
       }
-      out.report(i, global);
+      out.report(global);
     }
   }
 

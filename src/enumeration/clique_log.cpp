@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <iterator>
 
 namespace dcl {
@@ -102,33 +103,56 @@ CliqueKeyFormat::CliqueKeyFormat(NodeId n_) : n(n_) {
                                    128 / static_cast<std::size_t>(bits));
 }
 
+std::size_t CliqueRun::size() const {
+  if (log_->exact()) return static_cast<std::size_t>(log_->owned_);
+  const Sorted run = sorted();
+  return run.narrow.size() + run.wide.size() + run.spill.size();
+}
+
+std::uint64_t CliqueRun::fingerprint() const {
+  if (log_->exact()) return log_->owned_fingerprint_;
+  log_->sort();
+  return log_->narrow_.fingerprint + log_->wide_.fingerprint +
+         log_->spill_.fingerprint();
+}
+
+CliqueRun::Sorted CliqueRun::sorted() const {
+  log_->sort();
+  return Sorted{log_->format_, log_->narrow_.keys, log_->wide_.keys,
+                log_->spill_};
+}
+
 bool CliqueRun::contains(std::span<const NodeId> clique) const {
+  const Sorted run = sorted();
   std::array<NodeId, CliqueSet::kPackedMax> ids;
   const std::size_t len = sorted_copy(clique, ids);
-  if (len == 0) return spill_->contains(clique);
-  switch (format_.lane(ids.data(), len)) {
+  if (len == 0) return run.spill.contains(clique);
+  switch (run.format.lane(ids.data(), len)) {
     case CliqueKeyFormat::Lane::narrow:
-      return std::binary_search(narrow_.begin(), narrow_.end(),
-                                format_.pack<std::uint64_t>(ids.data(), len));
+      return std::binary_search(
+          run.narrow.begin(), run.narrow.end(),
+          run.format.pack<std::uint64_t>(ids.data(), len));
     case CliqueKeyFormat::Lane::wide:
-      return std::binary_search(wide_.begin(), wide_.end(),
-                                format_.pack<WideCliqueKey>(ids.data(), len));
+      return std::binary_search(
+          run.wide.begin(), run.wide.end(),
+          run.format.pack<WideCliqueKey>(ids.data(), len));
     case CliqueKeyFormat::Lane::spill:
       break;
   }
-  return spill_->contains(std::span<const NodeId>(ids.data(), len));
+  return run.spill.contains(std::span<const NodeId>(ids.data(), len));
 }
 
 Clique CliqueRun::front() const {
+  const Sorted run = sorted();
   std::array<NodeId, CliqueSet::kPackedMax> ids;
   std::size_t len = 0;
-  if (!narrow_.empty()) {
-    len = format_.unpack(narrow_.front(), ids.data());
-  } else if (!wide_.empty()) {
-    len = format_.unpack(wide_.front(), ids.data());
+  if (!run.narrow.empty()) {
+    len = run.format.unpack(run.narrow.front(), ids.data());
+  } else if (!run.wide.empty()) {
+    len = run.format.unpack(run.wide.front(), ids.data());
   } else {
     Clique first;
-    spill_->for_each_span([&](std::span<const NodeId> c) {
+    run.spill.for_each_span([&](std::span<const NodeId> c) {
       if (first.empty()) first.assign(c.begin(), c.end());
     });
     return first;
@@ -147,10 +171,12 @@ std::vector<Clique> CliqueRun::to_vector() const {
 void CliqueRun::difference(const CliqueRun& other,
                            std::vector<Clique>& only_here,
                            std::vector<Clique>& only_there) const {
-  merge_lane(format_, narrow_, other.narrow_, only_here, only_there);
-  merge_lane(format_, wide_, other.wide_, only_here, only_there);
-  spill_difference(*spill_, *other.spill_, only_here);
-  spill_difference(*other.spill_, *spill_, only_there);
+  const Sorted here = sorted();
+  const Sorted there = other.sorted();
+  merge_lane(here.format, here.narrow, there.narrow, only_here, only_there);
+  merge_lane(here.format, here.wide, there.wide, only_here, only_there);
+  spill_difference(here.spill, there.spill, only_here);
+  spill_difference(there.spill, here.spill, only_there);
 }
 
 namespace {
@@ -176,7 +202,28 @@ bool CliqueRun::operator==(const CliqueRun& other) const {
   return same_members(*this, other);
 }
 
+void CliqueLog::append_owned(std::span<const NodeId> clique) {
+  ++owned_;
+  const std::size_t len = clique.size();
+  if (len == 0 || len > CliqueSet::kPackedMax) {
+    Clique sorted_ids(clique.begin(), clique.end());
+    std::sort(sorted_ids.begin(), sorted_ids.end());
+    owned_fingerprint_ += CliqueSet::member_hash(sorted_ids);
+    spill_.insert(sorted_ids);
+    return;
+  }
+  std::array<NodeId, CliqueSet::kPackedMax> ids;
+  std::copy(clique.begin(), clique.end(), ids.begin());
+  sort_clique_ids(ids.data(), len);
+  owned_fingerprint_ +=
+      CliqueSet::member_hash(std::span<const NodeId>(ids.data(), len));
+  push_sorted(ids.data(), len);
+}
+
 void CliqueLog::append(const CliqueLog& other) {
+  owned_ += other.owned_;
+  owned_fingerprint_ += other.owned_fingerprint_;
+  may_repeat_ = may_repeat_ || other.may_repeat_;
   narrow_.keys.insert(narrow_.keys.end(), other.narrow_.keys.begin(),
                       other.narrow_.keys.end());
   wide_.keys.insert(wide_.keys.end(), other.wide_.keys.begin(),
@@ -200,18 +247,24 @@ void CliqueLog::settle(Lane<Key>& lane) const {
   }
 }
 
+void CliqueLog::sort() const {
+  if (sorted()) return;
+  // An exact log holds no repeat, so the unique pass must drop nothing.
+  [[maybe_unused]] const bool was_exact = exact();
+  [[maybe_unused]] const std::size_t before = entries();
+  settle(narrow_);
+  settle(wide_);
+  assert((!was_exact || entries() == before) &&
+         "CliqueLog: an exact log held a repeated clique");
+}
+
 void CliqueLog::clear() {
   narrow_.clear();
   wide_.clear();
   spill_ = CliqueSet{};
-}
-
-CliqueRun CliqueLog::run() const {
-  settle(narrow_);
-  settle(wide_);
-  return CliqueRun(format_, narrow_.keys, wide_.keys, &spill_,
-                   narrow_.fingerprint + wide_.fingerprint +
-                       spill_.fingerprint());
+  owned_ = 0;
+  owned_fingerprint_ = 0;
+  may_repeat_ = false;
 }
 
 }  // namespace dcl

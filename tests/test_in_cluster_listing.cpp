@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "core/part_tables.h"
 #include "enumeration/clique_enumeration.h"
 #include "graph/generators.h"
 #include "graph/orientation.h"
@@ -156,17 +162,21 @@ TEST(InClusterListing, SingletonPartDegeneratesGracefully) {
   EXPECT_TRUE(out.cliques() == CliqueSet(list_k_cliques(s.g, 4)));
 }
 
-TEST(InClusterListing, ReportersAreClusterMembers) {
+TEST(InClusterListing, OwnersReportEachCliqueOnce) {
+  // K9 at p = 3 gives q = 2: a triangle inside one part is found by every
+  // representative holding that part twice, yet only its owner appends
+  // it. The output stays exact — its O(1) count equals the sorted run —
+  // while total_reports still counts every find.
   Scenario s(complete_graph(9));
   Rng rng(10);
   ListingOutput out(s.g.node_count());
-  in_cluster_list(s.problem(3), rng, out);
-  std::uint64_t reporters = 0;
-  for (NodeId v = 0; v < s.g.node_count(); ++v) {
-    reporters += out.reports_of(v);
-  }
-  EXPECT_EQ(reporters, out.total_reports());
-  EXPECT_GT(out.total_reports(), 0u);
+  const auto cost = in_cluster_list(s.problem(3), rng, out);
+  EXPECT_TRUE(out.exact());
+  EXPECT_EQ(out.unique_count(), 84u);  // C(9, 3)
+  EXPECT_GT(out.total_reports(), out.unique_count()) << "no repeated find";
+  EXPECT_EQ(cost.cliques_reported, out.total_reports());
+  EXPECT_EQ(out.cliques().to_vector().size(), 84u);
+  EXPECT_TRUE(out.cliques() == CliqueSet(list_k_cliques(s.g, 3)));
 }
 
 TEST(InClusterListing, InternBuffersSurviveShrinkThenGrowAcrossGraphs) {
@@ -304,6 +314,61 @@ TEST(InClusterPlanEnumerate, RepsBelowThresholdsAreDroppedAtPlanTime) {
   const InClusterPlan plan = in_cluster_plan(s.problem(3), rng);
   EXPECT_TRUE(plan.reps.empty());
   EXPECT_EQ(plan.est_work_total, 0u);
+}
+
+TEST(InClusterOwnership, EveryCoveredReducedMultisetHasOneCoveringOwner) {
+  // Random clusters with p in 3..6: collect, for every reduced multiset R
+  // of at most p parts, the surviving representatives whose multiset
+  // covers it (checked by multiplicity, not through the radix code). R
+  // must have exactly one owner among them — the first in roster order —
+  // and no representative outside them may claim it.
+  Rng pick(404);
+  for (int trial = 0; trial < 24; ++trial) {
+    const int p = 3 + static_cast<int>(pick.next_below(4));
+    const auto k = static_cast<NodeId>(16 + pick.next_below(240));
+    SCOPED_TRACE("p=" + std::to_string(p) + " k=" + std::to_string(k));
+    Rng gen(pick.next_below(1u << 30));
+    Scenario s(erdos_renyi_gnp(k, 0.35, gen));
+    Rng rng(pick.next_below(1u << 30));
+    const InClusterPlan plan = in_cluster_plan(s.problem(p), rng);
+
+    const auto covers = [](const std::vector<int>& multiset,
+                           const std::vector<int>& reduced) {
+      for (const int a : reduced) {
+        const auto in_r = std::count(reduced.begin(), reduced.end(), a);
+        const auto in_s = std::count(multiset.begin(), multiset.end(), a);
+        if (in_r > in_s) return false;
+      }
+      return true;
+    };
+    std::map<std::vector<int>, std::vector<std::pair<std::size_t, bool>>>
+        claims;  // R -> (roster index, owned bit)
+    for (std::size_t r = 0; r < plan.reps.size(); ++r) {
+      const std::vector<int> s_r =
+          part_multiset(plan.reps[r].node, plan.q, p);
+      const ReducedCover cover(s_r);
+      for (std::uint32_t code = 0; code < cover.codes; ++code) {
+        const std::vector<int> reduced = cover.decode(code);
+        ASSERT_TRUE(covers(s_r, reduced));
+        if (reduced.size() > static_cast<std::size_t>(p)) continue;
+        claims[reduced].emplace_back(
+            r, plan.owned[static_cast<std::int64_t>(
+                   plan.reps[r].owned_begin + code)]);
+      }
+    }
+    ASSERT_FALSE(claims.empty());
+    for (const auto& [reduced, reps] : claims) {
+      std::size_t owners = 0;
+      for (const auto& [r, owned] : reps) owners += owned ? 1 : 0;
+      EXPECT_EQ(owners, 1u);
+      EXPECT_TRUE(reps.front().second) << "owner is not first in roster";
+      std::size_t covering = 0;
+      for (const InClusterPlan::Rep& rep : plan.reps) {
+        covering += covers(part_multiset(rep.node, plan.q, p), reduced);
+      }
+      EXPECT_EQ(covering, reps.size());
+    }
+  }
 }
 
 TEST(InClusterListing, HolderCountMismatchThrows) {

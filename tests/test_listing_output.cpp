@@ -17,29 +17,26 @@ TEST(ListingOutput, CountsAndDeduplicates) {
   const NodeId c1[] = {0, 1, 2};
   const NodeId c1_scrambled[] = {2, 0, 1};
   const NodeId c2[] = {1, 2, 3};
-  out.report(0, c1);
-  out.report(4, c1_scrambled);  // same clique from another node
-  out.report(1, c2);
+  out.report(c1);
+  out.report(c1_scrambled);  // same clique from another node
+  out.report(c2);
+  EXPECT_FALSE(out.exact());
   EXPECT_EQ(out.unique_count(), 2u);
   EXPECT_EQ(out.total_reports(), 3u);
   EXPECT_DOUBLE_EQ(out.duplication_factor(), 1.5);
-  EXPECT_EQ(out.reports_of(0), 1u);
-  EXPECT_EQ(out.reports_of(4), 1u);
-  EXPECT_EQ(out.reports_of(2), 0u);
-  EXPECT_EQ(out.max_reports_per_node(), 1u);
 }
 
 TEST(ListingOutput, EmptyHasZeroDuplication) {
   ListingOutput out(3);
   EXPECT_DOUBLE_EQ(out.duplication_factor(), 0.0);
   EXPECT_EQ(out.unique_count(), 0u);
-  EXPECT_EQ(out.max_reports_per_node(), 0u);
+  EXPECT_TRUE(out.exact());
 }
 
 TEST(ListingOutput, CliquesAccessible) {
   ListingOutput out(4);
   const NodeId c[] = {3, 1, 0};
-  out.report(2, c);
+  out.report(c);
   EXPECT_TRUE(out.cliques().contains({0, 1, 3}));
   EXPECT_FALSE(out.cliques().contains({0, 1, 2}));
 }
@@ -51,45 +48,63 @@ TEST(ListingOutput, UnionSemanticsUnderMaximalDuplication) {
   const NodeId n = 7;
   ListingOutput out(n);
   const NodeId clique[] = {0, 2, 5};
-  for (NodeId v = 0; v < n; ++v) out.report(v, clique);
+  for (NodeId v = 0; v < n; ++v) out.report(clique);
   EXPECT_EQ(out.unique_count(), 1u);
   EXPECT_EQ(out.total_reports(), static_cast<std::uint64_t>(n));
   EXPECT_DOUBLE_EQ(out.duplication_factor(), static_cast<double>(n));
-  EXPECT_EQ(out.max_reports_per_node(), 1u);
-  for (NodeId v = 0; v < n; ++v) EXPECT_EQ(out.reports_of(v), 1u);
 }
 
-TEST(ListingOutput, MaxReportsTracksRunningMaximum) {
-  // max_reports_per_node is maintained at report time, not rescanned;
-  // interleave reporters so the maximum moves between nodes.
-  ListingOutput out(3);
-  const NodeId a[] = {0, 1, 2};
-  const NodeId b[] = {1, 2, 3};
-  const NodeId c[] = {0, 2, 3};
-  out.report(1, a);
-  EXPECT_EQ(out.max_reports_per_node(), 1u);
-  out.report(2, a);
-  out.report(2, b);
-  EXPECT_EQ(out.max_reports_per_node(), 2u);
-  out.report(0, a);
-  out.report(0, b);
-  out.report(0, c);
-  EXPECT_EQ(out.max_reports_per_node(), 3u);
-  EXPECT_EQ(out.unique_count(), 3u);
-  EXPECT_EQ(out.total_reports(), 6u);
+TEST(ListingOutput, OwnedReportsCountWithoutTheSortUntilAPlainReport) {
+  // Owned reports keep the count and the fingerprint as running values:
+  // reading them leaves the log unsorted. One plain report of a clique
+  // already owned makes the output inexact; the count then comes from the
+  // sort and still drops the repeat.
+  const NodeId n = 9;
+  const std::vector<Clique> cliques = {
+      {0, 1, 2}, {8, 3, 1}, {2, 5, 4, 7}, {1, 2, 3, 4, 5, 6, 7, 8, 0}};
+  ListingOutput out(n);
+  for (const Clique& c : cliques) out.report_owned(c);
+  out.count_unowned(3);
+  const CliqueSet reference(cliques);
+  EXPECT_TRUE(out.exact());
+  EXPECT_EQ(out.unique_count(), cliques.size());
+  EXPECT_EQ(out.cliques().fingerprint(), reference.fingerprint());
+  EXPECT_EQ(out.total_reports(), cliques.size() + 3);
+  EXPECT_DOUBLE_EQ(out.duplication_factor(), 7.0 / 4.0);
+  EXPECT_TRUE(out.cliques() == reference);  // an ordered read: sorts
+
+  out.report(cliques[1]);
+  EXPECT_FALSE(out.exact());
+  EXPECT_EQ(out.unique_count(), cliques.size());
+  EXPECT_EQ(out.cliques().fingerprint(), reference.fingerprint());
+  EXPECT_EQ(out.total_reports(), cliques.size() + 4);
 }
 
-/// Per-node totals, total reports and max, and the clique set of `a` and
-/// `b` agree exactly.
-void expect_same_output(const ListingOutput& a, const ListingOutput& b,
-                        NodeId n) {
+TEST(ListingOutput, MayRepeatMarkSortsOwnedRepeats) {
+  // Owners in two clusters may report one clique twice; once marked, the
+  // output counts through the sort, also after a merge.
+  const NodeId clique[] = {4, 1, 6};
+  const NodeId other[] = {0, 1, 6};
+  ListingOutput first(7);
+  ListingOutput second(7);
+  first.report_owned(clique);
+  second.report_owned(clique);
+  second.report_owned(other);
+  second.mark_may_repeat();
+  EXPECT_FALSE(second.exact());
+  first.merge_from(second);
+  EXPECT_FALSE(first.exact());
+  EXPECT_EQ(first.unique_count(), 2u);
+  EXPECT_EQ(first.total_reports(), 3u);
+  EXPECT_EQ(first.cliques().fingerprint(),
+            CliqueSet(std::vector<Clique>{{1, 4, 6}, {0, 1, 6}}).fingerprint());
+}
+
+/// Total reports and the clique set of `a` and `b` agree exactly.
+void expect_same_output(const ListingOutput& a, const ListingOutput& b) {
   EXPECT_EQ(a.unique_count(), b.unique_count());
   EXPECT_EQ(a.total_reports(), b.total_reports());
-  EXPECT_EQ(a.max_reports_per_node(), b.max_reports_per_node());
   EXPECT_DOUBLE_EQ(a.duplication_factor(), b.duplication_factor());
-  for (NodeId v = 0; v < n; ++v) {
-    EXPECT_EQ(a.reports_of(v), b.reports_of(v)) << "v " << v;
-  }
   EXPECT_EQ(a.cliques().fingerprint(), b.cliques().fingerprint());
   EXPECT_TRUE(a.cliques() == b.cliques());
 }
@@ -98,21 +113,20 @@ TEST(ListingOutput, MergeFromReproducesSequentialCounters) {
   // The cluster-parallel ARB-LIST contract: splitting a report stream
   // across shard buffers and merging them must land on the exact counters
   // and clique set of the sequential execution — including cross-shard
-  // duplicates, the running per-node maximum, and mixed clique widths —
-  // in shard order, reversed, or shuffled.
+  // duplicates and mixed clique widths — in shard order, reversed, or
+  // shuffled.
   const NodeId n = 6;
   const std::vector<Clique> cliques = {
       {0, 1, 2}, {1, 2, 3}, {2, 3, 4}, {0, 1, 2},    {3, 4, 5},
       {1, 2, 3}, {5, 3, 4}, {0, 1, 2, 3}, {2, 1, 0}, {0, 1, 2, 3, 4, 5}};
-  const NodeId reporters[] = {0, 1, 1, 2, 5, 5, 4, 0, 3, 1};
   const std::size_t shard_of[] = {0, 0, 0, 1, 1, 1, 2, 2, 3, 3};
   constexpr std::size_t kShards = 4;
 
   ListingOutput sequential(n);
   std::vector<ListingOutput> shards(kShards, ListingOutput(n));
   for (std::size_t i = 0; i < cliques.size(); ++i) {
-    sequential.report(reporters[i], cliques[i]);
-    shards[shard_of[i]].report(reporters[i], cliques[i]);
+    sequential.report(cliques[i]);
+    shards[shard_of[i]].report(cliques[i]);
   }
   EXPECT_EQ(sequential.unique_count(), 6u);
 
@@ -122,7 +136,7 @@ TEST(ListingOutput, MergeFromReproducesSequentialCounters) {
   for (const auto& o : orders) {
     ListingOutput merged(n);
     for (const std::size_t s : o) merged.merge_from(shards[s]);
-    expect_same_output(merged, sequential, n);
+    expect_same_output(merged, sequential);
   }
 
   // Merging into a collector that already holds reports (the global out
@@ -130,13 +144,11 @@ TEST(ListingOutput, MergeFromReproducesSequentialCounters) {
   // after the collector's log has been read and sorted.
   ListingOutput global(n);
   const NodeId pre[] = {0, 4, 5};
-  global.report(3, pre);
+  global.report(pre);
   EXPECT_EQ(global.unique_count(), 1u);
   global.merge_from(shards[0]);
   EXPECT_EQ(global.total_reports(), 4u);
   EXPECT_EQ(global.unique_count(), 4u);
-  EXPECT_EQ(global.reports_of(3), 1u);
-  EXPECT_EQ(global.reports_of(1), 2u);
 }
 
 TEST(ListingOutput, PrefixSharingCliquesOfDifferentWidthStayDistinct) {
@@ -148,10 +160,10 @@ TEST(ListingOutput, PrefixSharingCliquesOfDifferentWidthStayDistinct) {
   const NodeId k4_shifted[] = {0, 1, 2, 7};
   const NodeId k3_tail[] = {1, 2, 3};
   for (int rep = 0; rep < 2; ++rep) {
-    out.report(0, k3);
-    out.report(1, k4);
-    out.report(2, k4_shifted);
-    out.report(3, k3_tail);
+    out.report(k3);
+    out.report(k4);
+    out.report(k4_shifted);
+    out.report(k3_tail);
   }
   const CliqueSet expected(std::vector<Clique>{
       {0, 1, 2}, {0, 1, 2, 3}, {0, 1, 2, 7}, {1, 2, 3}});
@@ -207,8 +219,8 @@ TEST(ListingOutput, KeyWidthBoundariesMatchCliqueSet) {
   // For p in 3..9 and n on either side of the 64-bit and 128-bit packing
   // limits (up to 2^21 nodes), a report stream — every clique in random
   // vertex order, duplicates split across shards, logs read midway —
-  // must land on the count, fingerprint, clique set and per-node totals of
-  // a reference CliqueSet fed the same stream.
+  // must land on the count, fingerprint and clique set of a reference
+  // CliqueSet fed the same stream.
   struct Case {
     int p;
     NodeId n;
@@ -251,7 +263,6 @@ TEST(ListingOutput, KeyWidthBoundariesMatchCliqueSet) {
     constexpr std::size_t kShards = 3;
     ListingOutput whole(c.n);
     std::vector<ListingOutput> shards(kShards, ListingOutput(c.n));
-    std::vector<std::uint64_t> per_node(static_cast<std::size_t>(c.n), 0);
     std::uint64_t reports = 0;
     CliqueSet reference;
     for (std::size_t i = 0; i < cliques.size(); ++i) {
@@ -259,12 +270,9 @@ TEST(ListingOutput, KeyWidthBoundariesMatchCliqueSet) {
       for (std::uint64_t k = 0; k < copies; ++k) {
         Clique shuffled = cliques[i];
         rng.shuffle(shuffled);
-        const auto reporter = static_cast<NodeId>(
-            rng.next_below(static_cast<std::uint64_t>(c.n)));
         reference.insert(shuffled);
-        whole.report(reporter, shuffled);
-        shards[rng.next_below(kShards)].report(reporter, shuffled);
-        ++per_node[static_cast<std::size_t>(reporter)];
+        whole.report(shuffled);
+        shards[rng.next_below(kShards)].report(shuffled);
         ++reports;
       }
       if (i == cliques.size() / 2) {
@@ -280,16 +288,6 @@ TEST(ListingOutput, KeyWidthBoundariesMatchCliqueSet) {
       EXPECT_EQ(out->cliques().fingerprint(), reference.fingerprint());
       EXPECT_TRUE(out->cliques() == reference);
       for (const Clique& q : cliques) EXPECT_TRUE(out->cliques().contains(q));
-      std::uint64_t max_reports = 0;
-      for (NodeId v = 0; v < c.n; ++v) {
-        const std::uint64_t expected = per_node[static_cast<std::size_t>(v)];
-        max_reports = std::max(max_reports, expected);
-        if (out->reports_of(v) != expected) {
-          ADD_FAILURE() << "reports_of(" << v << ")";
-          break;
-        }
-      }
-      EXPECT_EQ(out->max_reports_per_node(), max_reports);
     }
   }
 }
@@ -342,6 +340,48 @@ TEST(CliqueLog, ClearEmptiesTheRunAndRefillsLikeAFreshLog) {
       EXPECT_FALSE(reused.run().contains(q));
     }
   }
+}
+
+TEST(CliqueLog, OwnedAppendsLeaveTheLogUnsortedUntilAnOrderedRead) {
+  // Every lane at n = 70,000 (narrow K3, wide K5, packed-spill K8,
+  // node-spill K9): the size and fingerprint of an exact log come from the
+  // owned count and running hash, with no sort; an ordered read sorts and
+  // the unique pass drops nothing.
+  const NodeId n = 70000;
+  Rng rng(79);
+  CliqueLog log(n);
+  CliqueSet reference;
+  for (const std::size_t width : {3, 5, 8, 9}) {
+    for (int i = 0; i < 30; ++i) {
+      Clique q;
+      while (q.size() < width) {
+        const auto v = static_cast<NodeId>(
+            rng.next_below(static_cast<std::uint64_t>(n)));
+        if (std::find(q.begin(), q.end(), v) == q.end()) q.push_back(v);
+      }
+      if (reference.insert(q)) log.append_owned(q);
+    }
+  }
+  EXPECT_TRUE(log.exact());
+  EXPECT_FALSE(log.sorted());
+  EXPECT_EQ(log.run().size(), reference.size());
+  EXPECT_EQ(log.run().fingerprint(), reference.fingerprint());
+  EXPECT_FALSE(log.sorted()) << "size or fingerprint sorted an exact log";
+  EXPECT_TRUE(log.run() == reference);
+  EXPECT_TRUE(log.sorted());
+  EXPECT_TRUE(log.exact());
+  EXPECT_EQ(log.run().to_vector().size(), reference.size());
+
+  // A plain append of a held clique: inexact until the sort drops it.
+  const Clique again = log.run().front();
+  log.append(again);
+  EXPECT_FALSE(log.exact());
+  EXPECT_EQ(log.run().size(), reference.size());
+  EXPECT_EQ(log.run().fingerprint(), reference.fingerprint());
+  log.clear();
+  EXPECT_TRUE(log.exact());
+  EXPECT_EQ(log.run().size(), 0u);
+  EXPECT_EQ(log.run().fingerprint(), 0u);
 }
 
 TEST(CliqueLog, DifferenceIsTheSortedOneSidedMembers) {

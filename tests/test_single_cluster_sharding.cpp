@@ -111,7 +111,7 @@ void check_single_cluster_regime(const RegimeExpectations& e) {
   EXPECT_EQ(seq.total_rounds(), par.total_rounds());  // bit-exact doubles
   EXPECT_EQ(seq.unique_cliques, par.unique_cliques);
   EXPECT_EQ(seq.total_reports, par.total_reports);
-  EXPECT_EQ(out_seq.max_reports_per_node(), out_par.max_reports_per_node());
+  EXPECT_EQ(out_seq.exact(), out_par.exact());
   EXPECT_EQ(out_seq.cliques().fingerprint(), out_par.cliques().fingerprint());
   EXPECT_TRUE(out_seq.cliques() == out_par.cliques());
 

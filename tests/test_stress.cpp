@@ -151,16 +151,19 @@ TEST(Stress, LedgerLabelsAreStable) {
   }
 }
 
-TEST(Stress, ReportsComeOnlyFromRealNodes) {
+TEST(Stress, ReportCountsMatchTheOracle) {
+  // Every find is counted, owned or not, and the unique count — O(1) on
+  // an exact output — agrees with the sorted run and the oracle.
   Rng rng(10);
   const Graph g = clustered_workload(150, rng);
   KpConfig cfg;
   cfg.p = 4;
   ListingOutput out(g.node_count());
-  list_kp_collect(g, cfg, out);
-  std::uint64_t sum = 0;
-  for (NodeId v = 0; v < g.node_count(); ++v) sum += out.reports_of(v);
-  EXPECT_EQ(sum, out.total_reports());
+  const KpListResult result = list_kp_collect(g, cfg, out);
+  const std::uint64_t truth = count_k_cliques(g, 4);
+  EXPECT_EQ(result.unique_cliques, truth);
+  EXPECT_GE(out.total_reports(), truth);
+  EXPECT_EQ(out.cliques().to_vector().size(), truth);
 }
 
 TEST(Stress, RepeatedRunsShareNoState) {
